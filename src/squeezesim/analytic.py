@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NoMinimumError
+from .errors import InvalidInputError, NoMinimumError, require_finite
 
 
 @dataclass(frozen=True)
@@ -255,6 +255,12 @@ class EstimationParams:
     theta_true: float = 0.0
 
     def __post_init__(self):
+        require_finite(t1=self.t1, t2=self.t2, var_theta0=self.var_theta0,
+                       theta_true=self.theta_true)
+        if self.alpha is not None:
+            require_finite(alpha=self.alpha)
+        if self.alphas is not None:
+            require_finite(alphas=self.alphas)
         if not 0.0 <= self.t1 <= self.t2:
             raise InvalidInputError("need 0 <= t1 <= t2")
         if self.var_theta0 <= 0:

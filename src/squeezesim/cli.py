@@ -163,6 +163,12 @@ def _check_keys(tree: dict, schema: dict, path: str = ""):
         elif want is float:
             if not isinstance(val, (int, float)) or isinstance(val, bool):
                 raise ParseError(f"{here!r} must be a number")
+            try:
+                finite = math.isfinite(val)
+            except OverflowError:  # an integer beyond the float range
+                finite = False
+            if not finite:
+                raise ParseError(f"{here!r} must be finite, got {val!r}")
         elif want is int:
             if not isinstance(val, int) or isinstance(val, bool):
                 raise ParseError(f"{here!r} must be an integer")
@@ -181,10 +187,18 @@ def default_output_dir() -> Path:
     return Path(os.environ.get(ENV_OUTPUT_DIR, "squeezesim_out"))
 
 
+def _reject_constant(name: str):
+    raise ParseError(f"config contains the non-finite constant {name}")
+
+
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate a JSON config, resolving presets and defaults."""
+    """Parse and validate a JSON config, resolving presets and defaults.
+
+    NaN and Infinity, which Python's json module accepts by default, are
+    refused, as is a number too large to be finite.
+    """
     try:
-        tree = json.loads(text)
+        tree = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(f"config is not valid JSON: {exc}") from None
     if not isinstance(tree, dict):

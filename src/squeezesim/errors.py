@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finiteness check."""
+
+import numpy as np
 
 
 class SqueezesimError(Exception):
@@ -7,6 +9,17 @@ class SqueezesimError(Exception):
 
 class InvalidInputError(SqueezesimError, ValueError):
     """An argument violates a documented precondition (shape, norm, sign...)."""
+
+
+def require_finite(**values):
+    """Raise InvalidInputError naming the first value that is not finite.
+
+    Sign and range tests let NaN through (every comparison with NaN is
+    false), so boundaries call this before them.
+    """
+    for name, value in values.items():
+        if not np.all(np.isfinite(np.asarray(value, dtype=float))):
+            raise InvalidInputError(f"{name} must be finite, got {value!r}")
 
 
 class DegenerateCovarianceError(SqueezesimError):

@@ -13,10 +13,16 @@ probe segment is renewed after every coarse-grained step: measured segments
 are conditioned on and reset, unmeasured segments are traced out.  Either
 way a fresh vacuum segment is in place for the next step, which is exact
 because spent segments never interact again.
+
+The dense operations here (StepOperators, apply_step, measure_light_x,
+run_sequence) carry the light pair explicitly and serve as the reference
+for the scenario runner, which folds each segment into one update of the
+atomic block; the two agree to round-off (1e-12 relative in the tests).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -27,7 +33,8 @@ from .analytic import CollectiveVariable
 from .errors import DegenerateCovarianceError, InvalidInputError
 from .numerics import sym_eig_min, symmetrize
 
-#: Standard deviation of the measurement deviation chi (variance 1/2).
+#: Standard deviation of the standard draw z (variance 1/2); a detection
+#: deviation is chi = sqrt(bxx) * z.
 CHI_STD = np.sqrt(0.5)
 
 THETA = "theta"
@@ -193,7 +200,8 @@ class MeasurementRecord:
     """One probe-quadrature detection.
 
     chi is the Gaussian deviation of the outcome from the pre-measurement
-    mean of x_ph (zero mean, variance 1/2); outcome = pre-mean + chi.
+    mean of x_ph: zero mean and variance bxx / 2, where bxx is the
+    covariance entry of x_ph before detection; outcome = pre-mean + chi.
     """
 
     time: float
@@ -232,44 +240,9 @@ class TimeSeries:
 
 
 # ---------------------------------------------------------------------------
-# In-place kernels.  These mutate (cov, mean) directly and are shared by the
-# public operations and the scenario runner, so that every execution path
-# performs identical arithmetic.
-
-
-def _couple_inplace(cov, mean, ax_rows, kappas, scratch=None):
-    """Probe shear: x_i += kappa_i * p_ph and x_ph += sum_i kappa_i * p_i.
-
-    ax_rows are the x-indices of the coupled atomic pairs; the light pair
-    occupies the last two variables.  Source rows (all momenta) are never
-    written, so rows-then-columns application is the exact congruence.
-    """
-    dim = cov.shape[0]
-    x = dim - 2
-    p = dim - 1
-    if len(ax_rows) == 1:
-        a = int(ax_rows[0])
-        b = a + 1
-        k = float(kappas[0])
-        tmp = scratch if scratch is not None else np.empty(dim)
-        np.multiply(cov[p], k, out=tmp)
-        cov[a] += tmp
-        np.multiply(cov[b], k, out=tmp)
-        cov[x] += tmp
-        np.multiply(cov[:, p], k, out=tmp)
-        cov[:, a] += tmp
-        np.multiply(cov[:, b], k, out=tmp)
-        cov[:, x] += tmp
-        mean[a] += k * mean[p]
-        mean[x] += k * mean[b]
-    else:
-        b_rows = ax_rows + 1
-        cov[x, :] += kappas @ cov[b_rows, :]
-        cov[ax_rows, :] += np.outer(kappas, cov[p, :])
-        cov[:, x] += cov[:, b_rows] @ kappas
-        cov[:, ax_rows] += np.outer(cov[:, p], kappas)
-        mean[x] += kappas @ mean[b_rows]
-        mean[ax_rows] += kappas * mean[p]
+# In-place kernels.  These mutate (cov, mean) directly.  Measurement and
+# trace-out serve the dense reference path below; the scenario runner, which
+# never stores the light pair, uses only the impulse.
 
 
 def _impulse_inplace(cov, mean, targets, coeffs, source):
@@ -371,7 +344,8 @@ def run_sequence(
 ) -> tuple[GaussianState, TrajectoryRecord, TimeSeries]:
     """Propagate through a list of steps, one fresh beam segment per step.
 
-    When measuring, the deviation chi of every outcome is drawn as
+    When measuring, the deviation of every outcome is chi = sqrt(bxx) * z,
+    with bxx the pre-detection covariance entry of x_ph and z drawn as
     Normal(0, 1/2) from numpy's seeded PCG64 generator, so trajectories are
     bit-reproducible for a given ``rng_seed``.  Without measurement the
     segments are traced out after interacting.  Requested collective
@@ -384,6 +358,7 @@ def run_sequence(
     rng = np.random.default_rng(rng_seed)
     n_steps = len(steps)
     chis = rng.normal(0.0, CHI_STD, n_steps) if measure_after_each else None
+    x_ph = dim - 2
     out_times = np.empty(n_steps)
     outcomes = np.empty(n_steps)
     traj = TrajectoryRecord(seed=rng_seed)
@@ -410,6 +385,8 @@ def run_sequence(
         mean = ls @ mean
         t += step.tau
         if measure_after_each:
+            # a non-positive bxx is refused by _measure_inplace
+            chis[k] *= math.sqrt(max(float(cov[x_ph, x_ph]), 0.0))
             _, outcome = _measure_inplace(cov, mean, chis[k], buf)
             out_times[k] = t
             outcomes[k] = outcome

@@ -1,10 +1,9 @@
 """Dense symmetric-matrix utilities and a fixed-step ODE integrator.
 
-Everything here is deliberately small and self-contained: the matrices in
-this package are at most a few hundred rows (full covariance of a sliced
-ensemble plus the probe mode), so a cyclic Jacobi sweep is both fast enough
-and guaranteed to respect symmetry.  The RK4 integrator exists mainly as an
-independent cross-check for the closed-form variance curves.
+The matrices in this package are at most a few hundred rows (the
+covariance of a sliced ensemble plus the probe mode); eigen-solves go to
+LAPACK's symmetric eigen-solvers through numpy.  The RK4 integrator exists
+mainly as an independent cross-check for the closed-form variance curves.
 """
 
 from __future__ import annotations
@@ -40,58 +39,17 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
 
 
 def sym_eig_all(m: np.ndarray, vectors: bool = True):
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
+    """Full eigendecomposition of a symmetric matrix (LAPACK via numpy).
 
-    Returns (eigenvalues, eigenvector_columns); eigenvalues are unsorted.
-    ``vectors=False`` skips accumulating the rotation product.
+    Returns (eigenvalues, eigenvector_columns), eigenvalues in ascending
+    order; ``vectors=False`` skips the eigenvectors and returns None for
+    them.  Only the lower triangle is read, after the symmetry check.
     """
-    a = check_symmetric(m).copy()
-    n = a.shape[0]
-    v = np.eye(n) if vectors else None
-    if n == 1:
-        return a.diagonal().copy(), v
-    scale = float(np.max(np.abs(a)))
-    if scale == 0.0:
-        return np.zeros(n), v
-    diag = a.ravel()[:: n + 1]
-    for _sweep in range(60):
-        off_sq = float(np.sum(a * a) - np.sum(diag * diag))
-        if off_sq <= (1e-13 * scale * n) ** 2:
-            break
-        skip = 1e-18 * scale
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                app = a[p, p]
-                aqq = a[q, q]
-                theta = 0.5 * (aqq - app) / apq
-                if theta == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(1.0 + theta * theta))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :]
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q]
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                # rotation is chosen to annihilate (p, q); set it exactly
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                if vectors:
-                    vp = v[:, p].copy()
-                    vq = v[:, q]
-                    v[:, p] = c * vp - s * vq
-                    v[:, q] = s * vp + c * vq
-    return diag.copy(), v
+    a = check_symmetric(m)
+    if vectors:
+        w, v = np.linalg.eigh(a)
+        return w, v
+    return np.linalg.eigvalsh(a), None
 
 
 def sym_eig_min(m: np.ndarray) -> Tuple[float, np.ndarray]:

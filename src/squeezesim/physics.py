@@ -21,7 +21,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-from .errors import InvalidInputError, OpticallyThickError
+from .errors import InvalidInputError, OpticallyThickError, require_finite
 
 HBAR = 1.054571817e-34  # J s
 C_LIGHT = 299792458.0  # m / s
@@ -58,6 +58,9 @@ class PhysicalParams:
     omega: float = field(default=0.0)
 
     def __post_init__(self):
+        require_finite(**{name: getattr(self, name) for name in (
+            "n_atoms", "photon_flux", "area", "detuning", "linewidth",
+            "wavelength", "dipole", "tau", "omega")})
         if self.n_atoms < 0 or self.photon_flux < 0:
             raise InvalidInputError("n_atoms and photon_flux must be nonnegative")
         for name in ("area", "detuning", "linewidth", "wavelength", "dipole", "tau"):
@@ -91,6 +94,7 @@ class CouplingRates:
     epsilon: float
 
     def __post_init__(self):
+        require_finite(kappa_sq=self.kappa_sq, eta=self.eta, epsilon=self.epsilon)
         if self.kappa_sq < 0 or self.eta < 0:
             raise InvalidInputError("kappa_sq and eta must be nonnegative")
         if not 0.0 <= self.epsilon < 1.0:

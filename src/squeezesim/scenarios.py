@@ -6,9 +6,14 @@ beam segment at a time (couple, damp, inject noise, detect); a rotation
 phase applies the unknown-angle displacement as a single impulse, since the
 dark interval has no other dynamics.
 
-All probe phases, whatever the scenario, funnel through the same in-place
-kernels from gaussian_core, so the single-slice homogeneous run and the
-one-slice limit of the sliced (thick) run execute identical arithmetic.
+The probe pair is fresh vacuum at the start of every step and spent at its
+end, so the runner never stores it: each probe phase folds its groups into
+one BeamSegment, a map of the atomic block followed by a rank-1 Kalman
+update for the detection.  Every scenario runs through that one step, so
+the single-slice homogeneous run and the one-slice limit of the sliced
+(thick) run execute identical arithmetic.  The dense operators of
+gaussian_core, which carry the light pair, are the reference it is tested
+against.
 
 Per-step time dependence uses exponential factors frozen at the step start:
 couplings shrink as exp(-eta t / 2) while the mean spin decays, the atomic
@@ -20,21 +25,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .analytic import CollectiveVariable, EstimationParams, rotation_coupling
-from .errors import ConfigError, InvalidInputError
+from .errors import (
+    ConfigError,
+    DegenerateCovarianceError,
+    InvalidInputError,
+    require_finite,
+)
 from .gaussian_core import (
     CHI_STD,
     GaussianState,
     StepOperators,
     TimeSeries,
     TrajectoryRecord,
-    _couple_inplace,
     _impulse_inplace,
-    _measure_inplace,
-    _traceout_inplace,
     standard_labels,
     vacuum_state,
 )
@@ -73,6 +81,7 @@ class SpreadSpec:
     mode: str = "grid"
 
     def __post_init__(self):
+        require_finite(kappa0_sq=self.kappa0_sq, delta=self.delta)
         if self.kappa0_sq <= 0:
             raise InvalidInputError("kappa0_sq must be positive")
         if not 0.0 <= self.delta < 1.0:
@@ -111,6 +120,7 @@ class SliceConfig:
     atoms_per_slice: float = 0.0
 
     def __post_init__(self):
+        require_finite(atoms_per_slice=self.atoms_per_slice)
         if self.n_slices < 1:
             raise InvalidInputError("need at least one slice")
         for name in ("kappas_sq", "etas", "epsilons"):
@@ -119,6 +129,7 @@ class SliceConfig:
                 raise InvalidInputError(
                     f"{name} must have one entry per slice ({self.n_slices})"
                 )
+            require_finite(**{name: v})
             if np.any(v < 0):
                 raise InvalidInputError(f"{name} entries must be nonnegative")
             object.__setattr__(self, name, v)
@@ -164,7 +175,7 @@ class SliceConfig:
 class ProbeGroup:
     """One simultaneous coupling of a set of slices to the light.
 
-    Start-of-phase values; the runner works on private copies.  ``ax_rows``
+    Start-of-phase values, folded into the phase's BeamSegment.  ``ax_rows``
     are the x-variable indices of the coupled slices; the light pair is
     always the final two variables.  ``loss_diag`` and ``noise0`` are
     full-dimension diagonals (noise carries its prefactors folded in);
@@ -188,20 +199,12 @@ class ProbeGroup:
                 self, name, np.asarray(getattr(self, name), dtype=float)
             )
 
-    @property
-    def trivial_loss(self) -> bool:
-        return bool(np.all(self.loss_diag == 1.0))
-
-    @property
-    def trivial_noise(self) -> bool:
-        return not np.any(self.noise0)
-
     def values_at(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(kappas, noise diagonal) in effect at step index k of the phase."""
         return self.kappas0 * self.kappa_decay**k, self.noise0 * self.noise_growth**k
 
     def step_operators(self, dim: int, k: int, tau: float) -> StepOperators:
-        """Equivalent dense operators at step index k (validation path)."""
+        """Equivalent dense operators at step index k (reference path)."""
         kappas, noise = self.values_at(k)
         x, p = dim - 2, dim - 1
         s = np.eye(dim)
@@ -229,42 +232,118 @@ class ProbeGroup:
         )
 
 
-class _GroupRuntime:
-    """Mutable per-run copy of a ProbeGroup with preallocated scratch."""
+@dataclass(frozen=True)
+class BeamSegment:
+    """One beam segment as a map of the atomic block (theta included).
 
-    __slots__ = ("ax_rows", "kappas", "decay", "louter", "lvec", "noise",
-                 "growth", "scratch", "decaying")
+    The probe pair enters every step as vacuum and leaves after it, so a
+    segment crossing a phase's groups in order acts on the atomic
+    covariance gamma and means a as
 
-    def __init__(self, g: ProbeGroup, dim: int):
-        self.ax_rows = g.ax_rows
-        self.kappas = g.kappas0.copy()
-        self.decay = g.kappa_decay
-        self.decaying = bool(np.any(g.kappa_decay != 1.0))
-        if g.trivial_loss:
-            self.louter = None
-            self.lvec = None
-        else:
-            self.louter = np.outer(g.loss_diag, g.loss_diag)
-            self.lvec = g.loss_diag
-        if g.trivial_noise:
-            self.noise = None
-            self.growth = None
-        else:
-            self.noise = g.noise0.copy()
-            self.growth = g.noise_growth if np.any(g.noise_growth != 1.0) else None
-        self.scratch = np.empty(dim)
+        gamma -> (D D^T) o gamma + diag(q) + (w w^T) o S,   a -> D o a,
 
-    def apply(self, cov, mean, diag):
-        _couple_inplace(cov, mean, self.ax_rows, self.kappas, self.scratch)
-        if self.louter is not None:
-            np.multiply(cov, self.louter, out=cov)
-            mean *= self.lvec
-        if self.noise is not None:
-            diag += self.noise
-            if self.growth is not None:
-                self.noise *= self.growth
-        if self.decaying:
-            self.kappas *= self.decay
+    where o is the entrywise product.  D is the loss diagonal and q the
+    atomic noise.  w carries the back-action of the probe momentum on the x
+    rows: the slice loss times its coupling times the light transmission
+    in front of it.  S[i, j] is the normalized variance of that momentum in
+    front of whichever of the two slices the beam reaches first, built from
+    the light's losses and the noise each slice adds to it; it is one
+    everywhere for a thin sample and stored as None then.  The detected quadrature is
+    x_ph = h . a + noise of covariance ``shot``, where h is the coupling
+    on the p rows times the light transmission from the slice onward, and
+    a detection conditions on it with one rank-1 (Kalman) update.
+
+    At step k of the phase w and h carry kappa_decay**k and q carries
+    noise_growth**k; S and ``shot`` are fixed.  ``loss_outer``,
+    ``noise0``, ``noise_growth`` and ``kappa_decay`` are None where they
+    would leave the state unchanged.
+    """
+
+    loss: np.ndarray
+    loss_outer: np.ndarray | None
+    noise0: np.ndarray | None
+    noise_growth: np.ndarray | None
+    back0: np.ndarray
+    spread: np.ndarray | None
+    readout0: np.ndarray
+    kappa_decay: np.ndarray | None
+    shot: float
+    kappas0: np.ndarray
+    slice_decay: np.ndarray
+
+    @classmethod
+    def compose(cls, groups, dim: int) -> "BeamSegment":
+        """Fold groups, applied in beam order, into one segment map.
+
+        Each group may damp and feed noise only into the slices it couples
+        and each slice is coupled by at most one group; the light's noise
+        must not grow.  The builders' groups always satisfy this.
+        """
+        m = dim - 2
+        loss = np.ones(m)
+        noise = np.zeros(m)
+        growth = np.ones(m)
+        back = np.zeros(m)
+        readout = np.zeros(m)
+        decay = np.ones(m)
+        level = np.ones(m)
+        owner = np.full(m, -1)
+        shot = 1.0  # x_ph covariance entry: vacuum, then each group's loss and noise
+        var_p = 1.0  # the same for p_ph, which drives the back-action
+        trans_p = 1.0
+        for i, g in enumerate(groups):
+            for name in ("loss_diag", "noise0", "noise_growth"):
+                if getattr(g, name).shape != (dim,):
+                    raise InvalidInputError(f"group {i}: {name} must have length {dim}")
+            ax = g.ax_rows
+            rows = np.concatenate([ax, ax + 1])
+            if np.any(owner[rows] >= 0):
+                raise InvalidInputError(f"group {i} couples a slice already coupled")
+            owner[rows] = i
+            rest = owner != i
+            if (np.any(g.loss_diag[:m][rest] != 1.0)
+                    or np.any(g.noise0[:m][rest] != 0.0)):
+                raise InvalidInputError(
+                    f"group {i} damps or feeds noise into rows it does not couple"
+                )
+            if np.any(g.noise_growth[m:] != 1.0):
+                raise InvalidInputError(f"group {i}: light noise must not grow")
+            loss[rows] = g.loss_diag[rows]
+            noise[rows] = g.noise0[rows]
+            growth[rows] = g.noise_growth[rows]
+            back[ax] = loss[ax] * g.kappas0 * trans_p
+            level[ax] = var_p / (trans_p * trans_p)
+            decay[ax] = decay[ax + 1] = g.kappa_decay
+            readout[ax + 1] = g.kappas0
+            l_x, l_p = float(g.loss_diag[m]), float(g.loss_diag[m + 1])
+            readout *= l_x
+            shot = l_x * l_x * shot + float(g.noise0[m])
+            var_p = l_p * l_p * var_p + float(g.noise0[m + 1])
+            trans_p *= l_p
+        return cls(
+            loss=loss,
+            loss_outer=None if np.all(loss == 1.0) else np.outer(loss, loss),
+            noise0=noise if np.any(noise) else None,
+            noise_growth=None if np.all(growth == 1.0) else growth,
+            back0=back,
+            spread=None if np.all(level == 1.0) else np.minimum.outer(level, level),
+            readout0=readout,
+            kappa_decay=None if np.all(decay == 1.0) else decay,
+            shot=shot,
+            kappas0=np.concatenate([g.kappas0 for g in groups] or [np.empty(0)]),
+            slice_decay=np.concatenate(
+                [g.kappa_decay for g in groups] or [np.empty(0)]
+            ),
+        )
+
+    def kappas_at(self, k: int) -> np.ndarray:
+        """Per-slice couplings in effect at step index k of the phase."""
+        return self.kappas0 * self.slice_decay**k
+
+
+#: Relative tolerance within which a phase duration must be a whole number
+#: of steps.
+WHOLE_STEPS_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -274,7 +353,7 @@ class ProbePhase:
     Groups are applied in order within each step (a single group for a
     thin sample, one group per slice for a stack the beam crosses
     sequentially); the spent segment is then measured, or traced out when
-    ``measure`` is off.
+    ``measure`` is off.  The duration must be a whole number of steps.
     """
 
     duration: float
@@ -283,14 +362,28 @@ class ProbePhase:
     measure: bool = True
 
     def __post_init__(self):
+        require_finite(duration=self.duration, tau=self.tau)
         if self.tau <= 0:
             raise InvalidInputError("tau must be positive")
         if self.duration < 0:
             raise InvalidInputError("duration must be nonnegative")
+        ratio = self.duration / self.tau
+        if abs(ratio - round(ratio)) > WHOLE_STEPS_RTOL * max(ratio, 1.0):
+            raise InvalidInputError(
+                f"duration {self.duration!r} is not a whole number of steps "
+                f"of tau = {self.tau!r} ({ratio!r} steps)"
+            )
 
     @property
     def n_steps(self) -> int:
         return int(round(self.duration / self.tau))
+
+    @cached_property
+    def segment(self) -> BeamSegment:
+        """The composed map of one step; needs at least one group."""
+        if not self.groups:
+            raise InvalidInputError("a phase without groups has no segment map")
+        return BeamSegment.compose(self.groups, self.groups[0].loss_diag.shape[0])
 
     def step_operators(self, dim: int, k: int = 0) -> list[StepOperators]:
         return [g.step_operators(dim, k, self.tau) for g in self.groups]
@@ -312,6 +405,7 @@ class RotationPhase:
     def __post_init__(self):
         object.__setattr__(self, "targets", np.asarray(self.targets, dtype=int))
         object.__setattr__(self, "alphas", np.asarray(self.alphas, dtype=float))
+        require_finite(duration=self.duration, alphas=self.alphas)
         if self.duration < 0:
             raise InvalidInputError("duration must be nonnegative")
 
@@ -803,14 +897,22 @@ def run(
     Samples the configured observables every ``sample_every`` steps,
     including step 0 when the scenario has any steps at all.  The
     covariance stream is outcome independent; only means depend on the
-    drawn measurement deviations.
+    drawn measurement deviations.  Every detection deviation is
+    chi = sqrt(bxx) * z, with bxx the covariance entry of the detected
+    quadrature and z drawn as Normal(0, 1/2) from a PCG64 stream seeded
+    with ``seed``.  Recorded means and covariances keep the full layout,
+    with the probe pair in its fresh vacuum state.
     """
     state = scenario.initial_state
-    cov = state.cov.copy()
-    mean = state.mean.copy()
     dim = state.dim
-    diag = cov.ravel()[:: dim + 1]
-    buf = np.empty((dim - 2, dim - 2))
+    m = dim - 2
+    if not (np.array_equal(state.cov[m:], np.eye(dim)[m:])
+            and not np.any(state.mean[m:])):
+        raise InvalidInputError("the initial probe pair must be fresh vacuum")
+    cov = state.cov[:m, :m].copy()
+    mean = state.mean[:m].copy()
+    diag = cov.ravel()[:: m + 1]
+    buf = np.empty((m, m))
     rng = np.random.default_rng(seed)
     sampler = _Sampler(scenario, state)
     names = _column_names(scenario.observables)
@@ -822,26 +924,26 @@ def run(
     m_outs: list[np.ndarray] = []
     se = scenario.sample_every
 
-    def start_kappas():
-        for phase in scenario.phases:
-            if isinstance(phase, ProbePhase) and phase.groups:
-                return np.concatenate([g.kappas0 for g in phase.groups])
-        return np.empty(0)
-
     def sample(t, kappas):
         symmetrize(cov)
         r = sampler.row(cov, mean, kappas if len(kappas) else None)
         times.append(t)
         rows.append(r)
-        traj.samples.append((t, mean.copy(), r))
+        # records keep the full layout, the spent light pair as fresh vacuum
+        full_mean = np.zeros(dim)
+        full_mean[:m] = mean
+        traj.samples.append((t, full_mean, r))
         if record_cov:
-            traj.cov_samples.append(cov.copy())
+            full_cov = np.eye(dim)
+            full_cov[:m, :m] = cov
+            traj.cov_samples.append(full_cov)
 
     k = 0
     t = 0.0
-    last_kappas = start_kappas()
     if scenario.total_steps > 0:
-        sample(0.0, last_kappas)
+        first = next((p for p in scenario.phases
+                      if isinstance(p, ProbePhase) and p.groups), None)
+        sample(0.0, first.segment.kappas0 if first else np.empty(0))
     for phase in scenario.phases:
         if isinstance(phase, RotationPhase):
             _impulse_inplace(cov, mean, phase.targets, phase.alphas, 0)
@@ -851,29 +953,61 @@ def run(
         if n_steps == 0:
             t += phase.duration
             continue
-        groups_rt = [_GroupRuntime(g, dim) for g in phase.groups]
-        chis = rng.normal(0.0, CHI_STD, n_steps) if phase.measure else None
-        outs = np.empty(n_steps) if phase.measure else None
-        tms = np.empty(n_steps) if phase.measure else None
+        seg = phase.segment if phase.groups else BeamSegment.compose((), dim)
+        dd, decay, growth = seg.loss_outer, seg.kappa_decay, seg.noise_growth
+        loss, spread, shot = seg.loss, seg.spread, seg.shot
+        noise = None if seg.noise0 is None else seg.noise0.copy()
+        back = seg.back0.copy()
+        h = seg.readout0.copy()
+        gain = np.empty(m)
+        gain_col, back_col = gain[:, None], back[:, None]
+        measure = phase.measure
+        if measure:
+            chis = rng.normal(0.0, CHI_STD, n_steps)
+            pre = np.empty(n_steps)
         for j in range(n_steps):
-            for g in groups_rt:
-                g.apply(cov, mean, diag)
-            if phase.measure:
-                _, outcome = _measure_inplace(cov, mean, chis[j], buf)
-                outs[j] = outcome
-                tms[j] = t + (j + 1) * phase.tau
-            else:
-                _traceout_inplace(cov, mean)
+            if measure:
+                # Rank-1 Kalman update on the pre-step state.  Conditioning
+                # before the loss is exact: the loss scales the gain's outer
+                # product by D D^T like the rest of the covariance.
+                cov.dot(h, out=gain)
+                bxx = float(h.dot(gain)) + shot
+                if not bxx > 0.0:
+                    raise DegenerateCovarianceError(
+                        f"measured-quadrature variance must be positive, got "
+                        f"{bxx} at step {k + 1} (t = {t + (j + 1) * phase.tau:.6e} s)"
+                    )
+                root = math.sqrt(bxx)
+                pre[j] = h.dot(mean)
+                z = chis[j]
+                chis[j] = root * z
+                gain /= root
+                np.multiply(gain_col, gain, out=buf)
+                cov -= buf
+                gain *= z
+                mean += gain
+            if dd is not None:
+                cov *= dd
+                mean *= loss
+            if noise is not None:
+                diag += noise
+                if growth is not None:
+                    noise *= growth
+            np.multiply(back_col, back, out=buf)
+            if spread is not None:
+                buf *= spread
+            cov += buf
+            if decay is not None:
+                back *= decay
+                h *= decay
             k += 1
             if k % se == 0:
-                last_kappas = np.concatenate([g.kappas for g in groups_rt])
-                sample(t + (j + 1) * phase.tau, last_kappas)
-        t += n_steps * phase.tau
-        last_kappas = np.concatenate([g.kappas for g in groups_rt])
-        if phase.measure:
-            m_times.append(tms)
+                sample(t + (j + 1) * phase.tau, seg.kappas_at(j + 1))
+        if measure:
+            m_times.append(t + phase.tau * np.arange(1, n_steps + 1))
             m_chis.append(chis)
-            m_outs.append(outs)
+            m_outs.append(pre + chis)
+        t += n_steps * phase.tau
     if m_times:
         traj.measurement_times = np.concatenate(m_times)
         traj.chis = np.concatenate(m_chis)

@@ -108,8 +108,8 @@ def test_criterion_4_measurement_statistics():
         np.array_equal(a, b) for a, b in zip(tr_a.cov_samples, tr_b.cov_samples)
     )
     # conditional + between-trajectory variance reconstructs the prior
-    # (up to the O(kappa_tau^2) detection-noise approximation, well inside
-    # the statistical resolution at the production step size)
+    # (exactly: detection deviations carry the variance bxx / 2 of the
+    # measured quadrature)
     n_steps = 150
     tau = TAU
     sc = sq.build_homogeneous(NOISELESS, tau=tau, t_end=n_steps * tau,

@@ -87,6 +87,28 @@ class TestParseConfig:
         with pytest.raises(ParseError, match="not valid JSON"):
             parse_config("t_end: y")
 
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e400",
+                                        "1" + "0" * 400])
+    def test_non_finite_numbers_rejected(self, number):
+        text = cfg_text().replace("1.83e6", number).replace("1830000.0", number)
+        assert number in text
+        with pytest.raises(ParseError, match="finite"):
+            parse_config(text)
+
+    def test_every_figure_and_preset_duration_is_whole_steps(self):
+        """Default and shortened figure runs and every preset still build."""
+        from squeezesim.cli import PRESETS, _figure_curves, build_scenario
+
+        for fig_id in range(1, 6):
+            for t_end in (None, 1e-4, 2e-5, 5e-6):
+                if fig_id == 5 and t_end is not None and t_end <= 4e-5:
+                    continue  # the angle is probed only after t2 = 4e-5 s
+                for _name, _desc, cfg, _cols in _figure_curves(fig_id, None, t_end):
+                    if isinstance(cfg, RunConfig):
+                        build_scenario(cfg)
+        for name in PRESETS:
+            build_scenario(parse_config(json.dumps({"preset": name})))
+
 
 class TestRunCommand:
     def test_homogeneous_run_agrees_with_analytic_column(self, tmp_path):
@@ -209,6 +231,14 @@ class TestMain:
         cfg_path.write_text(cfg_text(output_dir=str(tmp_path / "out")))
         assert main(["run", "--config", str(cfg_path)]) == 0
         assert (tmp_path / "out" / "homogeneous.csv").exists()
+
+    def test_nan_rate_exits_nonzero_without_output(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        text = cfg_text(output_dir=str(tmp_path / "out"))
+        cfg_path.write_text(text.replace("1830000.0", "NaN"))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "homogeneous.csv").exists()
 
     def test_bad_config_exit_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

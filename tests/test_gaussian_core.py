@@ -224,10 +224,19 @@ class TestRunSequence:
         _, traj, _ = run_sequence(st, [step] * 40, rng_seed=9)
         assert len(traj.records) == 40
         assert np.all(np.diff(traj.measurement_times) > 0)
-        # outcome = pre-measurement mean + deviation, as recorded
+        # outcome = pre-measurement mean + deviation, as recorded; the
+        # deviation is the standard draw scaled by sqrt(bxx)
         chis = np.array([r.chi for r in traj.records])
+        bxx = []
+        cur = st
+        for _ in range(40):
+            cur = apply_step(cur, step)
+            bxx.append(cur.cov[2, 2])
+            cur, _ = measure_light_x(cur, 0.0)
         rng = np.random.default_rng(9)
-        assert np.array_equal(chis, rng.normal(0.0, math.sqrt(0.5), 40))
+        z = rng.normal(0.0, math.sqrt(0.5), 40)
+        np.testing.assert_allclose(chis, np.sqrt(bxx) * z, rtol=1e-14, atol=0.0)
+        assert min(bxx) > 1.0
 
 
 class TestObservables:

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from squeezesim.analytic import (
     EstimationParams,
@@ -10,7 +13,15 @@ from squeezesim.analytic import (
     var_p_noisy,
 )
 from squeezesim.errors import ConfigError, InvalidInputError
-from squeezesim.gaussian_core import CHI_STD, apply_step, measure_light_x, vacuum_state, standard_labels
+from squeezesim.gaussian_core import (
+    CHI_STD,
+    GaussianState,
+    _traceout_inplace,
+    apply_step,
+    measure_light_x,
+    standard_labels,
+    vacuum_state,
+)
 from squeezesim.physics import CouplingRates
 from squeezesim.scenarios import (
     ProbePhase,
@@ -252,12 +263,18 @@ class TestRunnerDensePathEquivalence:
                 t += phase.duration
                 continue
             steps = min(phase.n_steps, n_steps_cap)
-            chis = rng.normal(0.0, CHI_STD, phase.n_steps)
+            if phase.measure:
+                chis = rng.normal(0.0, CHI_STD, phase.n_steps)
             for k in range(steps):
                 for op in phase.step_operators(state.dim, k):
                     state = apply_step(state, op)
                 if phase.measure:
-                    state, _ = measure_light_x(state, chis[k])
+                    bxx = state.cov[-2, -2]
+                    state, _ = measure_light_x(state, math.sqrt(bxx) * chis[k])
+                else:
+                    cov, mean = state.cov.copy(), state.mean.copy()
+                    _traceout_inplace(cov, mean)
+                    state = GaussianState(state.labels, mean, cov)
         return state
 
     def _compare(self, sc_full, sc_short, seed=7):
@@ -295,6 +312,161 @@ class TestRunnerDensePathEquivalence:
         dense = self._dense_run(sc, 5, n_steps_cap=100)
         scale = np.max(np.abs(dense.cov))
         assert np.max(np.abs(traj.cov_samples[-1] - dense.cov)) < 1e-12 * scale
+
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_random_scenarios(self, data):
+        """Thin, thick and estimation runs, measured or not, over a few steps."""
+        sc = data.draw(_random_scenarios())
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        ts, traj = run(sc, seed=seed, record_cov=True)
+        dense = self._dense_run(sc, seed, n_steps_cap=10**6)
+        fast_cov = traj.cov_samples[-1]
+        scale = np.max(np.abs(dense.cov))
+        assert np.max(np.abs(fast_cov - dense.cov)) <= 1e-12 * scale
+        fast_mean = traj.samples[-1][1]
+        mean_scale = max(1.0, np.max(np.abs(dense.mean)))
+        assert np.max(np.abs(fast_mean - dense.mean)) <= 1e-12 * mean_scale
+        state = sc.initial_state
+        has_theta = state.has_theta
+        for cov in traj.cov_samples:
+            block = cov[: state.dim - 2, : state.dim - 2]
+            assert np.array_equal(block, block.T)
+            assert _uncertainty_margin(block, has_theta) >= -1e-12 * np.max(np.abs(block))
+
+
+def _symplectic(n_vars: int, has_theta: bool) -> np.ndarray:
+    """Commutator form of the atomic block: one (x, p) pair per slice."""
+    omega = np.zeros((n_vars, n_vars))
+    for x in range(1 if has_theta else 0, n_vars, 2):
+        omega[x, x + 1] = 1.0
+        omega[x + 1, x] = -1.0
+    return omega
+
+
+def _uncertainty_margin(block: np.ndarray, has_theta: bool) -> float:
+    """Smallest eigenvalue of gamma + i Omega; negative means unphysical."""
+    omega = _symplectic(block.shape[0], has_theta)
+    return float(np.linalg.eigvalsh(block + 1j * omega)[0])
+
+
+TAU_PROP = 1e-8
+
+
+@st.composite
+def _random_scenarios(draw):
+    """A short thin, thick or estimation scenario with drawn rates."""
+    kind = draw(st.sampled_from(["thin", "thick", "estimation"]))
+    n = draw(st.integers(1, 6))
+    n_steps = draw(st.integers(1, 5))
+    kappas_sq = np.array(draw(st.lists(st.floats(1e3, 1e7), min_size=n, max_size=n)))
+    etas = np.array(draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(1.0, 5e6)), min_size=n, max_size=n)))
+    epsilons = np.array(draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(1e-4, 0.05)), min_size=n, max_size=n)))
+    measure = draw(st.booleans())
+    if kind == "thin":
+        rates = CouplingRates(float(np.sum(kappas_sq)) / n, float(etas[0]),
+                              float(epsilons[0]))
+        spread = SpreadSpec(kappa0_sq=min(float(np.sum(kappas_sq)), 1e7),
+                            delta=draw(st.floats(0.0, 0.9)), mode="random")
+        sc = build_thin_inhomogeneous(
+            spread, n, rates, TAU_PROP, n_steps * TAU_PROP, sample_every=n_steps,
+            eta_mode=draw(st.sampled_from(["uniform", "intensity"])),
+            rng=np.random.default_rng(draw(st.integers(0, 1000))),
+        )
+    elif kind == "thick":
+        slices = SliceConfig(n, kappas_sq, etas, epsilons)
+        sc = build_thick(slices, TAU_PROP, n_steps * TAU_PROP, sample_every=n_steps)
+    else:
+        slices = SliceConfig(n, kappas_sq, etas, epsilons)
+        base = slices if draw(st.booleans()) else CouplingRates(
+            float(kappas_sq[0]), float(etas[0]), float(epsilons[0]))
+        n_base = n if isinstance(base, SliceConfig) else 1
+        t1 = draw(st.integers(0, 3)) * TAU_PROP
+        t2 = t1 + draw(st.integers(0, 3)) * TAU_PROP
+        est = EstimationParams(
+            t1=t1, t2=t2, var_theta0=draw(st.floats(0.01, 10.0)),
+            alphas=tuple(draw(st.lists(st.floats(0.0, 5.0), min_size=n_base,
+                                       max_size=n_base))),
+            theta_true=draw(st.floats(-1.0, 1.0)),
+        )
+        sc = build_estimation(base, est, TAU_PROP, t2 + n_steps * TAU_PROP,
+                              sample_every=10**6)
+        sc = dataclasses.replace(sc, sample_every=max(sc.total_steps, 1))
+    if not measure:
+        phases = tuple(
+            dataclasses.replace(p, measure=False) if isinstance(p, ProbePhase) else p
+            for p in sc.phases
+        )
+        sc = dataclasses.replace(sc, phases=phases)
+    return sc
+
+
+class TestDetectionStatistics:
+    def test_law_of_total_variance_at_validity_bound(self):
+        """Conditional spread plus conditional variance rebuild the prior.
+
+        At kappa^2 tau = 0.1, the coarse-graining bound, each detected
+        quadrature has bxx = 1 + kappa^2 tau gamma_p well above 1; drawing
+        the detection deviation with variance 1/2 instead of bxx/2 shrinks
+        the spread of the trajectory means by several standard errors.
+        """
+        n_steps = 5
+        sc = build_homogeneous(CouplingRates(1e7, 0.0, 0.0), tau=1e-8,
+                               t_end=n_steps * 1e-8, sample_every=n_steps)
+        n_traj = 20_000
+        means = np.empty(n_traj)
+        ts = None
+        for seed in range(n_traj):
+            ts, traj = run(sc, seed=seed)
+            means[seed] = traj.samples[-1][1][1]
+        var_cond = float(ts.columns["var_p"][-1])
+        prior = 0.5
+        se = (prior - var_cond) * math.sqrt(2.0 / (n_traj - 1))
+        total = float(np.var(means, ddof=1)) + var_cond
+        assert abs(total - prior) < 4.0 * se, (total, 4.0 * se)
+
+    def test_recorded_deviation_is_scaled_draw(self):
+        sc = build_homogeneous(NOISELESS, tau=1e-8, t_end=5e-8, sample_every=5)
+        _, traj = run(sc, seed=4)
+        z = np.random.default_rng(4).normal(0.0, CHI_STD, 5)
+        var_p = 0.5
+        bxx = []
+        for _ in range(5):
+            bxx.append(1.0 + 2.0 * 1.83e6 * 1e-8 * var_p)
+            var_p = var_p / (1.0 + 2.0 * 1.83e6 * 1e-8 * var_p)
+        np.testing.assert_allclose(traj.chis, np.sqrt(bxx) * z, rtol=1e-14, atol=0)
+
+
+class TestInputHardening:
+    @pytest.mark.parametrize("make", [
+        lambda: CouplingRates(kappa_sq=float("nan"), eta=0.0, epsilon=0.0),
+        lambda: CouplingRates(kappa_sq=1.0, eta=float("inf"), epsilon=0.0),
+        lambda: SpreadSpec(kappa0_sq=float("inf"), delta=0.1),
+        lambda: SliceConfig(2, [1.0, float("nan")], [0.0, 0.0], [0.0, 0.0]),
+        lambda: SliceConfig(1, [1.0], [float("inf")], [0.0]),
+        lambda: ProbePhase(duration=1e-6, tau=float("nan"), groups=()),
+        lambda: ProbePhase(duration=float("inf"), tau=1e-8, groups=()),
+        lambda: RotationPhase(duration=0.0, targets=[1], alphas=[float("nan")]),
+        lambda: EstimationParams(t1=0.0, t2=1e-6, var_theta0=float("nan")),
+        lambda: EstimationParams(t1=0.0, t2=1e-6, alpha=float("inf")),
+        lambda: EstimationParams(t1=0.0, t2=1e-6, alphas=(1.0, float("nan"))),
+    ])
+    def test_non_finite_numbers_rejected(self, make):
+        with pytest.raises(InvalidInputError, match="finite"):
+            make()
+
+    def test_duration_must_be_whole_steps(self):
+        with pytest.raises(InvalidInputError, match="whole number"):
+            build_homogeneous(RATES, tau=1e-8, t_end=1.5e-8)
+        with pytest.raises(InvalidInputError, match="whole number"):
+            ProbePhase(duration=0.5e-8, tau=1e-8, groups=())
+        # round-off in t_end / tau is not a fractional step
+        assert ProbePhase(duration=150 * 1e-8, tau=1e-8, groups=()).n_steps == 150
+        assert ProbePhase(duration=2e-3 - 4e-5, tau=1e-8, groups=()).n_steps == 196_000
 
 
 class TestScenarioShape:
