@@ -554,6 +554,14 @@ def _fig5_line(kind: str, delta: float, t_end: float):
     return times, {"var_theta": np.full_like(times, level)}
 
 
+def _run_key(cfg: RunConfig) -> tuple:
+    """Every RunConfig field that build_scenario and _run_to_columns read."""
+    return (cfg.scenario, cfg.rates, cfg.tau, cfg.t_end, cfg.var0, cfg.seed,
+            cfg.sample_every, cfg.n_slices, cfg.delta, cfg.spread_mode,
+            cfg.eta_mode, cfg.per_slice_epsilon,
+            json.dumps(cfg.estimation, sort_keys=True))
+
+
 def reproduce_figure(
     fig_id: int, out_dir: Path, tau: float | None = None,
     t_end: float | None = None, seed: int = 0,
@@ -573,8 +581,7 @@ def reproduce_figure(
                 times, data = _fig5_line(kind, delta, te)
             else:
                 cfg.seed = seed
-                key = (cfg.scenario, cfg.rates, cfg.delta, cfg.n_slices,
-                       cfg.tau, cfg.t_end, cfg.seed, cfg.per_slice_epsilon)
+                key = _run_key(cfg)
                 if key not in run_cache:
                     sc = build_scenario(cfg)
                     run_cache[key] = _run_to_columns(cfg, sc)

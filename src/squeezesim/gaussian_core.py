@@ -16,8 +16,10 @@ because spent segments never interact again.
 
 The dense operations here (StepOperators, apply_step, measure_light_x,
 run_sequence) carry the light pair explicitly and serve as the reference
-for the scenario runner, which folds each segment into one update of the
-atomic block; the two agree to round-off (1e-12 relative in the tests).
+for the scenario runner.  The runner never stores the light pair and
+splits the atomic block into the rows the probe reads (theta and the p
+rows) and the x rows it does not; the two agree to round-off (1e-12
+relative in the tests).
 """
 
 from __future__ import annotations
@@ -246,10 +248,18 @@ class TimeSeries:
 
 
 def _impulse_inplace(cov, mean, targets, coeffs, source):
-    """Shear rows ``targets`` by coeffs * row ``source`` (and columns)."""
-    cov[targets, :] += np.outer(coeffs, cov[source, :])
-    cov[:, targets] += np.outer(cov[:, source], coeffs)
-    mean[targets] += coeffs * mean[source]
+    """Shear rows ``targets`` by coeffs * row ``source`` (and columns).
+
+    With u the coefficients on the target rows, S = 1 + u e_source^T maps
+    cov to S cov S^T = cov + (u c^T + c u^T) + cov[source, source] u u^T,
+    c the source column.  Each term is symmetric entry by entry, so a
+    symmetric cov stays exactly symmetric.
+    """
+    u = np.zeros(cov.shape[0])
+    u[targets] = coeffs
+    cross = np.outer(u, cov[:, source])
+    cov += (cross + cross.T) + cov[source, source] * np.outer(u, u)
+    mean += u * mean[source]
 
 
 def _measure_inplace(cov, mean, chi, buf=None):

@@ -9,11 +9,14 @@ dark interval has no other dynamics.
 The probe pair is fresh vacuum at the start of every step and spent at its
 end, so the runner never stores it: each probe phase folds its groups into
 one BeamSegment, a map of the atomic block followed by a rank-1 Kalman
-update for the detection.  Every scenario runs through that one step, so
-the single-slice homogeneous run and the one-slice limit of the sliced
-(thick) run execute identical arithmetic.  The dense operators of
-gaussian_core, which carry the light pair, are the reference it is tested
-against.
+update for the detection.  The probe reads only theta and the p rows, and
+the map never couples them to the x rows, so the runner keeps two blocks:
+the read block takes the Kalman update every step, and the unread x block
+advances once per chunk of steps in closed form.  Every scenario runs
+through that one path, so the single-slice homogeneous run and the
+one-slice limit of the sliced (thick) run execute identical arithmetic.
+The dense operators of gaussian_core, which carry the light pair, are the
+reference it is tested against.
 
 Per-step time dependence uses exponential factors frozen at the step start:
 couplings shrink as exp(-eta t / 2) while the mean spin decays, the atomic
@@ -46,7 +49,7 @@ from .gaussian_core import (
     standard_labels,
     vacuum_state,
 )
-from .numerics import sym_eig_all, symmetrize
+from .numerics import sym_eig_all
 from .physics import CouplingRates
 
 #: Per-segment coupling validity bound: kappa^2 * tau must not exceed this.
@@ -232,6 +235,52 @@ class ProbeGroup:
         )
 
 
+def _block_rows(m: int) -> tuple[slice, slice]:
+    """(read, unread) rows of an m-variable atomic block, as strided slices.
+
+    The read rows are theta (present when m is odd) and the p rows, the
+    unread rows the x rows.
+    """
+    return slice(1 - m % 2, m, 2), slice(m % 2, m, 2)
+
+
+#: Most steps one chunk of the runner covers.
+CHUNK_STEPS = 1024
+#: Most entries of one per-step chunk array (steps x block width).
+CHUNK_ELEMENTS = 8192
+#: The read block runs in loss-scaled coordinates, whose noise grows by up
+#: to growth / loss**2 per step; a chunk keeps that below exp(LOSS_SCALE_LOG).
+LOSS_SCALE_LOG = 230.0
+
+
+@dataclass(frozen=True)
+class BlockMap:
+    """The part of a segment map acting on one block of the atomic rows.
+
+    ``rows`` slices the block out of the atomic layout.  ``loss``, ``noise0``
+    and ``growth`` are its diagonals; ``coupling0`` is the read-out h on the
+    read block and the back-action w on the unread block, and it shrinks by
+    ``decay`` per step.  Diagonals that would leave the state unchanged are
+    None.
+    """
+
+    rows: slice
+    loss: np.ndarray | None
+    noise0: np.ndarray | None
+    growth: np.ndarray | None
+    coupling0: np.ndarray
+    decay: np.ndarray | None
+
+    @classmethod
+    def take(cls, rows, loss, noise, growth, coupling, decay) -> "BlockMap":
+        def part(v, neutral):
+            sub = v[rows]
+            return None if np.all(sub == neutral) else sub
+
+        return cls(rows, part(loss, 1.0), part(noise, 0.0), part(growth, 1.0),
+                   coupling[rows], part(decay, 1.0))
+
+
 @dataclass(frozen=True)
 class BeamSegment:
     """One beam segment as a map of the atomic block (theta included).
@@ -248,38 +297,41 @@ class BeamSegment:
     in front of it.  S[i, j] is the normalized variance of that momentum in
     front of whichever of the two slices the beam reaches first, built from
     the light's losses and the noise each slice adds to it; it is one
-    everywhere for a thin sample and stored as None then.  The detected quadrature is
-    x_ph = h . a + noise of covariance ``shot``, where h is the coupling
-    on the p rows times the light transmission from the slice onward, and
-    a detection conditions on it with one rank-1 (Kalman) update.
+    everywhere for a thin sample and stored as None then.  The detected
+    quadrature is x_ph = h . a + noise of covariance ``shot``, where h is
+    the coupling on the p rows times the light transmission from the slice
+    onward, and a detection conditions on it with one rank-1 (Kalman)
+    update.
 
-    At step k of the phase w and h carry kappa_decay**k and q carries
-    noise_growth**k; S and ``shot`` are fixed.  ``loss_outer``,
-    ``noise0``, ``noise_growth`` and ``kappa_decay`` are None where they
-    would leave the state unchanged.
+    h vanishes on the x rows, w on theta and the p rows, and D and q are
+    diagonal, so the map never couples the read block (theta and the p
+    rows) to the unread block (the x rows).  It is stored split that way:
+    ``read`` and ``unread`` are the two BlockMaps and ``spread`` is S on the
+    unread block.  At step k of the phase w and h carry kappa_decay**k and
+    q carries noise_growth**k; S and ``shot`` are fixed.  ``chunk_steps``
+    caps the steps the runner advances at once.
     """
 
-    loss: np.ndarray
-    loss_outer: np.ndarray | None
-    noise0: np.ndarray | None
-    noise_growth: np.ndarray | None
-    back0: np.ndarray
+    read: BlockMap
+    unread: BlockMap
     spread: np.ndarray | None
-    readout0: np.ndarray
-    kappa_decay: np.ndarray | None
     shot: float
     kappas0: np.ndarray
     slice_decay: np.ndarray
+    chunk_steps: int
 
     @classmethod
     def compose(cls, groups, dim: int) -> "BeamSegment":
         """Fold groups, applied in beam order, into one segment map.
 
-        Each group may damp and feed noise only into the slices it couples
-        and each slice is coupled by at most one group; the light's noise
-        must not grow.  The builders' groups always satisfy this.
+        Each group may couple only x rows (with their p rows), may damp and
+        feed noise only into the slices it couples, and each slice is
+        coupled by at most one group; losses lie in (0, 1] and the light's
+        noise must not grow.  The builders' groups always satisfy this.
         """
         m = dim - 2
+        read, unread = _block_rows(m)
+        x_rows = np.arange(m)[unread]
         loss = np.ones(m)
         noise = np.zeros(m)
         growth = np.ones(m)
@@ -296,6 +348,10 @@ class BeamSegment:
                 if getattr(g, name).shape != (dim,):
                     raise InvalidInputError(f"group {i}: {name} must have length {dim}")
             ax = g.ax_rows
+            if not np.all(np.isin(ax, x_rows)):
+                raise InvalidInputError(f"group {i} couples rows that are not x rows")
+            if not np.all((g.loss_diag > 0.0) & (g.loss_diag <= 1.0)):
+                raise InvalidInputError(f"group {i}: losses must lie in (0, 1]")
             rows = np.concatenate([ax, ax + 1])
             if np.any(owner[rows] >= 0):
                 raise InvalidInputError(f"group {i} couples a slice already coupled")
@@ -320,20 +376,25 @@ class BeamSegment:
             shot = l_x * l_x * shot + float(g.noise0[m])
             var_p = l_p * l_p * var_p + float(g.noise0[m + 1])
             trans_p *= l_p
+        read_map = BlockMap.take(read, loss, noise, growth, readout, decay)
+        width = max(len(read_map.coupling0), len(x_rows))
+        steps = min(CHUNK_STEPS, max(1, CHUNK_ELEMENTS // width))
+        if read_map.loss is not None:
+            rate = -2.0 * math.log(float(np.min(read_map.loss)))
+            if read_map.growth is not None:
+                rate += math.log(float(np.max(read_map.growth)))
+            steps = max(1, min(steps, int(LOSS_SCALE_LOG / rate)))
+        level = level[unread]
         return cls(
-            loss=loss,
-            loss_outer=None if np.all(loss == 1.0) else np.outer(loss, loss),
-            noise0=noise if np.any(noise) else None,
-            noise_growth=None if np.all(growth == 1.0) else growth,
-            back0=back,
+            read=read_map,
+            unread=BlockMap.take(unread, loss, noise, growth, back, decay),
             spread=None if np.all(level == 1.0) else np.minimum.outer(level, level),
-            readout0=readout,
-            kappa_decay=None if np.all(decay == 1.0) else decay,
             shot=shot,
             kappas0=np.concatenate([g.kappas0 for g in groups] or [np.empty(0)]),
             slice_decay=np.concatenate(
                 [g.kappa_decay for g in groups] or [np.empty(0)]
             ),
+            chunk_steps=steps,
         )
 
     def kappas_at(self, k: int) -> np.ndarray:
@@ -448,6 +509,44 @@ class Scenario:
     @property
     def total_steps(self) -> int:
         return sum(p.n_steps for p in self.phases)
+
+    @cached_property
+    def blocks(self) -> tuple:
+        """The initial state as the runner splits it, checked once.
+
+        (read covariance, read means, unread covariance, unread means) of
+        the atomic block, the probe pair dropped; see run.  Refuses a probe
+        pair that is not fresh vacuum, a state that correlates the x rows
+        with the p rows or theta, and a rotation other than a shear of p
+        rows by theta: the split cannot represent them.
+        """
+        state = self.initial_state
+        dim = state.dim
+        m = dim - 2
+        if not (np.array_equal(state.cov[m:], np.eye(dim)[m:])
+                and not np.any(state.mean[m:])):
+            raise InvalidInputError("the initial probe pair must be fresh vacuum")
+        read, unread = _block_rows(m)
+        cov = state.cov[:m, :m]
+        if np.any(cov[read, unread]) or np.any(cov[unread, read]):
+            raise InvalidInputError(
+                "the initial state correlates x rows with p rows or theta"
+            )
+        read_rows = np.arange(m)[read]
+        for phase in self.phases:
+            if isinstance(phase, RotationPhase) and not (
+                    m % 2 and np.all(np.isin(phase.targets, read_rows))):
+                raise InvalidInputError(
+                    "a rotation must shear p rows or theta by a theta variable"
+                )
+        cov_r, cov_u = cov[read, read], cov[unread, unread]
+        return ((cov_r + cov_r.T) / 2.0, state.mean[read],
+                (cov_u + cov_u.T) / 2.0, state.mean[unread])
+
+    @cached_property
+    def sampler(self) -> "_Sampler":
+        """The observables' evaluator, built once per scenario."""
+        return _Sampler(self, self.initial_state)
 
     @property
     def duration(self) -> float:
@@ -889,6 +988,122 @@ def _column_names(observables) -> list[str]:
     return names
 
 
+def _ramp(start, factor, rows):
+    """Fill rows[i] = start * factor**i by running products; the next start."""
+    rows[0] = start
+    if factor is None:
+        rows[1:] = start
+        return start
+    rows[1:] = factor
+    np.cumprod(rows, axis=0, out=rows)
+    return rows[-1] * factor
+
+
+class _BlockRun:
+    """One block's run through a phase: running noise and coupling, buffers."""
+
+    def __init__(self, blk: BlockMap, steps: int):
+        width = len(blk.coupling0)
+        self.blk = blk
+        self.noise = blk.noise0
+        self.coupling = blk.coupling0
+        self.pows = None if blk.loss is None else np.empty((steps + 1, width))
+        self.noise_rows = None if blk.noise0 is None else np.empty((steps, width))
+        self.coupling_rows = np.empty((steps, width))
+
+    def fill(self, n: int):
+        """Rows for the next n steps: loss powers d**0..d**n, noise, coupling."""
+        blk = self.blk
+        pows = noise = None
+        if self.pows is not None:
+            pows = self.pows[: n + 1]
+            pows[0] = 1.0
+            pows[1:] = blk.loss
+            np.cumprod(pows, axis=0, out=pows)
+        if self.noise_rows is not None:
+            noise = self.noise_rows[:n]
+            self.noise = _ramp(self.noise, blk.growth, noise)
+        coupling = self.coupling_rows[:n]
+        self.coupling = _ramp(self.coupling, blk.decay, coupling)
+        return pows, noise, coupling
+
+
+def _open_chunk(cov, mean, block: _BlockRun, n: int, back: bool, spread=None):
+    """n unconditioned steps of one block in closed form.
+
+    With d the loss, q_k the noise and w_k the back-action of step k,
+
+        gamma -> P gamma P + diag(sum_k d**(2(n-1-k)) q_k) + S o (W^T W),
+
+    where P = d**n and row k of W is d**(n-1-k) w_k: one Gram product for
+    the back-action of the whole chunk.
+    """
+    pows, noise, coupling = block.fill(n)
+    if pows is not None:
+        power = pows[n]
+        cov *= np.outer(power, power)
+        mean *= power
+        lever = pows[n - 1 :: -1]
+    if noise is not None:
+        if pows is not None:
+            noise *= lever * lever
+        cov.ravel()[:: len(cov) + 1] += noise.sum(axis=0)
+    if back:
+        if pows is not None:
+            coupling *= lever
+        gram = np.dot(coupling.T, coupling)
+        if spread is not None:
+            gram *= spread
+        cov += gram
+
+
+def _kalman_chunk(cov, mean, block: _BlockRun, z, pre, shot, gains, buf, k0, t0, tau):
+    """len(z) measured steps of the read block; z becomes the deviations chi.
+
+    The steps run in loss-scaled coordinates, gamma_j = E_j G_j E_j with
+    E_j = diag(d**j): the loss then leaves the step, which becomes the
+    rank-1 Kalman update of G_j with read-out E_j h_j followed by the noise
+    q_j / E_(j+1)**2.  The scaled means E_j**-1 a_j move only by the scaled
+    gains, so one running sum gives them for the whole chunk, and with them
+    the predicted read-out in front of each detection, ``pre``.
+    """
+    n = len(z)
+    pows, noise, h_rows = block.fill(n)
+    if pows is not None:
+        h_rows *= pows[:n]
+        if noise is not None:
+            noise /= pows[1:]
+            noise /= pows[1:]
+    gains = gains[:n]
+    roots = np.empty(n)
+    diag = cov.ravel()[:: len(cov) + 1]
+    for i, (h, g, g_col) in enumerate(zip(h_rows, gains, gains[:, :, None])):
+        cov.dot(h, out=g)
+        bxx = h.dot(g) + shot
+        if not bxx > 0.0:
+            raise DegenerateCovarianceError(
+                f"measured-quadrature variance must be positive, got "
+                f"{bxx} at step {k0 + i + 1} (t = {t0 + (i + 1) * tau:.6e} s)"
+            )
+        root = math.sqrt(bxx)
+        roots[i] = root
+        g /= root
+        np.multiply(g_col, g, out=buf)
+        cov -= buf
+        if noise is not None:
+            diag += noise[i]
+    steps = gains * z[:, None]
+    np.cumsum(steps, axis=0, out=steps)
+    np.dot(h_rows, mean, out=pre)
+    pre[1:] += (h_rows[1:] * steps[:-1]).sum(axis=1)
+    mean += steps[-1]
+    if pows is not None:
+        power = pows[n]
+        cov *= np.outer(power, power)
+        mean *= power
+    z *= roots
+
+
 def run(
     scenario: Scenario, seed: int = 0, record_cov: bool = False
 ) -> tuple[TimeSeries, TrajectoryRecord]:
@@ -902,19 +1117,21 @@ def run(
     quadrature and z drawn as Normal(0, 1/2) from a PCG64 stream seeded
     with ``seed``.  Recorded means and covariances keep the full layout,
     with the probe pair in its fresh vacuum state.
+
+    The atomic block is kept as two blocks that no step couples: the read
+    block (theta and the p rows) takes the per-step Kalman updates, the
+    unread block (the x rows) advances in closed form once per chunk of
+    steps, and the full block is assembled only at sample points.  The
+    initial state must not correlate the two blocks, and a rotation must
+    shear p rows by theta (see Scenario.blocks).
     """
     state = scenario.initial_state
     dim = state.dim
     m = dim - 2
-    if not (np.array_equal(state.cov[m:], np.eye(dim)[m:])
-            and not np.any(state.mean[m:])):
-        raise InvalidInputError("the initial probe pair must be fresh vacuum")
-    cov = state.cov[:m, :m].copy()
-    mean = state.mean[:m].copy()
-    diag = cov.ravel()[:: m + 1]
-    buf = np.empty((m, m))
+    cov_r, mean_r, cov_u, mean_u = (a.copy() for a in scenario.blocks)
+    read, unread = _block_rows(m)
     rng = np.random.default_rng(seed)
-    sampler = _Sampler(scenario, state)
+    sampler = scenario.sampler
     names = _column_names(scenario.observables)
     times: list[float] = []
     rows: list[tuple] = []
@@ -924,18 +1141,22 @@ def run(
     m_outs: list[np.ndarray] = []
     se = scenario.sample_every
 
+    block = np.zeros((m, m))
+
     def sample(t, kappas):
-        symmetrize(cov)
-        r = sampler.row(cov, mean, kappas if len(kappas) else None)
+        # records keep the full layout, the spent light pair as fresh vacuum
+        block[read, read] = cov_r
+        block[unread, unread] = cov_u
+        full_mean = np.zeros(dim)
+        full_mean[read] = mean_r
+        full_mean[unread] = mean_u
+        r = sampler.row(block, full_mean, kappas if len(kappas) else None)
         times.append(t)
         rows.append(r)
-        # records keep the full layout, the spent light pair as fresh vacuum
-        full_mean = np.zeros(dim)
-        full_mean[:m] = mean
         traj.samples.append((t, full_mean, r))
         if record_cov:
             full_cov = np.eye(dim)
-            full_cov[:m, :m] = cov
+            full_cov[:m, :m] = block
             traj.cov_samples.append(full_cov)
 
     k = 0
@@ -946,7 +1167,8 @@ def run(
         sample(0.0, first.segment.kappas0 if first else np.empty(0))
     for phase in scenario.phases:
         if isinstance(phase, RotationPhase):
-            _impulse_inplace(cov, mean, phase.targets, phase.alphas, 0)
+            targets = (phase.targets - read.start) // 2
+            _impulse_inplace(cov_r, mean_r, targets, phase.alphas, 0)
             t += phase.duration
             continue
         n_steps = phase.n_steps
@@ -954,55 +1176,28 @@ def run(
             t += phase.duration
             continue
         seg = phase.segment if phase.groups else BeamSegment.compose((), dim)
-        dd, decay, growth = seg.loss_outer, seg.kappa_decay, seg.noise_growth
-        loss, spread, shot = seg.loss, seg.spread, seg.shot
-        noise = None if seg.noise0 is None else seg.noise0.copy()
-        back = seg.back0.copy()
-        h = seg.readout0.copy()
-        gain = np.empty(m)
-        gain_col, back_col = gain[:, None], back[:, None]
+        cap = min(seg.chunk_steps, n_steps)
+        reads = _BlockRun(seg.read, cap)
+        unreads = _BlockRun(seg.unread, cap)
         measure = phase.measure
         if measure:
             chis = rng.normal(0.0, CHI_STD, n_steps)
             pre = np.empty(n_steps)
-        for j in range(n_steps):
+            gains = np.empty((cap, len(mean_r)))
+            buf = np.empty((len(mean_r), len(mean_r)))
+        j = 0
+        while j < n_steps:
+            n = min(n_steps - j, cap, se - k % se)
             if measure:
-                # Rank-1 Kalman update on the pre-step state.  Conditioning
-                # before the loss is exact: the loss scales the gain's outer
-                # product by D D^T like the rest of the covariance.
-                cov.dot(h, out=gain)
-                bxx = float(h.dot(gain)) + shot
-                if not bxx > 0.0:
-                    raise DegenerateCovarianceError(
-                        f"measured-quadrature variance must be positive, got "
-                        f"{bxx} at step {k + 1} (t = {t + (j + 1) * phase.tau:.6e} s)"
-                    )
-                root = math.sqrt(bxx)
-                pre[j] = h.dot(mean)
-                z = chis[j]
-                chis[j] = root * z
-                gain /= root
-                np.multiply(gain_col, gain, out=buf)
-                cov -= buf
-                gain *= z
-                mean += gain
-            if dd is not None:
-                cov *= dd
-                mean *= loss
-            if noise is not None:
-                diag += noise
-                if growth is not None:
-                    noise *= growth
-            np.multiply(back_col, back, out=buf)
-            if spread is not None:
-                buf *= spread
-            cov += buf
-            if decay is not None:
-                back *= decay
-                h *= decay
-            k += 1
+                _kalman_chunk(cov_r, mean_r, reads, chis[j : j + n], pre[j : j + n],
+                              seg.shot, gains, buf, k, t + j * phase.tau, phase.tau)
+            else:
+                _open_chunk(cov_r, mean_r, reads, n, back=False)
+            _open_chunk(cov_u, mean_u, unreads, n, back=True, spread=seg.spread)
+            j += n
+            k += n
             if k % se == 0:
-                sample(t + (j + 1) * phase.tau, seg.kappas_at(j + 1))
+                sample(t + j * phase.tau, seg.kappas_at(j))
         if measure:
             m_times.append(t + phase.tau * np.arange(1, n_steps + 1))
             m_chis.append(chis)

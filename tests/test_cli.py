@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from squeezesim import cli
 from squeezesim.cli import (
     ParseError,
     RunConfig,
@@ -12,6 +13,7 @@ from squeezesim.cli import (
     reproduce_figure,
     run_command,
 )
+from squeezesim.physics import CouplingRates
 
 
 def cfg_text(**over):
@@ -223,6 +225,23 @@ class TestFigures:
         manifest = json.loads((tmp_path / "fig4_manifest.json").read_text())
         cols = {v["column"] for v in manifest["notes"].values()}
         assert cols == {"min_eig_var", "var_P_eff"}
+
+    def test_curves_differing_only_in_sampling_run_separately(
+            self, tmp_path, monkeypatch):
+        rates = CouplingRates(kappa_sq=1.83e6, eta=1.7577, epsilon=0.028)
+
+        def curves(fig_id, tau, t_end):
+            for i, every in enumerate((100, 250)):
+                cfg = RunConfig(scenario="homogeneous", rates=rates, tau=1e-8,
+                                t_end=1e-5, sample_every=every)
+                yield f"fig1_curve{i + 1}", {"sample_every": every}, cfg, None
+
+        monkeypatch.setattr(cli, "_figure_curves", curves)
+        assert reproduce_figure(1, tmp_path) == 0
+        for i, rows in ((1, 11), (2, 5)):
+            t = np.genfromtxt(tmp_path / f"fig1_curve{i}.csv", delimiter=",",
+                              names=True)["t_seconds"]
+            assert len(t) == rows
 
 
 class TestMain:

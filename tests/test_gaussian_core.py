@@ -8,6 +8,7 @@ from squeezesim.errors import DegenerateCovarianceError, InvalidInputError
 from squeezesim.gaussian_core import (
     GaussianState,
     StepOperators,
+    _impulse_inplace,
     apply_step,
     measure_light_x,
     run_sequence,
@@ -295,3 +296,24 @@ class TestStepOperatorsValidation:
     def test_light_must_trail(self):
         with pytest.raises(InvalidInputError):
             GaussianState(("light", "atom:1"), np.zeros(4), np.eye(4))
+
+
+class TestImpulse:
+    def test_symmetric_with_theta_p_correlations(self):
+        """The rotation impulse S cov S^T stays exactly symmetric."""
+        rng = np.random.default_rng(0)
+        targets = np.array([2, 4, 6])
+        for _ in range(200):
+            a = rng.normal(size=(7, 7))
+            cov = a @ a.T
+            assert np.array_equal(cov, cov.T) and cov[0, 2] != 0.0
+            coeffs = rng.normal(size=3)
+            mean = rng.normal(size=7)
+            s = np.eye(7)
+            s[targets, 0] = coeffs
+            want_cov, want_mean = s @ cov @ s.T, s @ mean
+            _impulse_inplace(cov, mean, targets, coeffs, 0)
+            assert np.array_equal(cov, cov.T)
+            scale = np.max(np.abs(want_cov))
+            assert np.max(np.abs(cov - want_cov)) <= 1e-14 * scale
+            assert np.max(np.abs(mean - want_mean)) <= 1e-14 * np.max(np.abs(want_mean))

@@ -252,15 +252,17 @@ class TestEstimation:
 class TestRunnerDensePathEquivalence:
     """The in-place kernels must agree with the dense operator algebra."""
 
-    def _dense_run(self, sc: Scenario, seed: int, n_steps_cap: int = 12):
+    def _dense_states(self, sc: Scenario, seed: int, n_steps_cap: int):
+        """(steps done, state) at the start, after every step and rotation."""
         state = sc.initial_state
         rng = np.random.default_rng(seed)
-        t = 0.0
+        done = 0
+        yield done, state
         for phase in sc.phases:
             if isinstance(phase, RotationPhase):
                 (op,) = phase.step_operators(state.dim)
                 state = apply_step(state, op)
-                t += phase.duration
+                yield done, state
                 continue
             steps = min(phase.n_steps, n_steps_cap)
             if phase.measure:
@@ -275,7 +277,28 @@ class TestRunnerDensePathEquivalence:
                     cov, mean = state.cov.copy(), state.mean.copy()
                     _traceout_inplace(cov, mean)
                     state = GaussianState(state.labels, mean, cov)
+                done += 1
+                yield done, state
+
+    def _dense_run(self, sc: Scenario, seed: int, n_steps_cap: int = 12):
+        for _, state in self._dense_states(sc, seed, n_steps_cap):
+            pass
         return state
+
+    def _compare_samples(self, sc: Scenario, seed: int):
+        """Every sample of the runner against the dense path at 1e-12."""
+        ts, traj = run(sc, seed=seed, record_cov=True)
+        dense = {}
+        for done, state in self._dense_states(sc, seed, sc.total_steps):
+            if done % sc.sample_every == 0:
+                dense.setdefault(done, state)
+        assert len(dense) == len(traj.cov_samples) >= 2
+        for state, cov, (_, mean, _) in zip(
+                dense.values(), traj.cov_samples, traj.samples):
+            scale = np.max(np.abs(state.cov))
+            assert np.max(np.abs(cov - state.cov)) <= 1e-12 * scale
+            mean_scale = max(1.0, np.max(np.abs(state.mean)))
+            assert np.max(np.abs(mean - state.mean)) <= 1e-12 * mean_scale
 
     def _compare(self, sc_full, sc_short, seed=7):
         ts, traj = run(sc_short, seed=seed, record_cov=True)
@@ -335,6 +358,74 @@ class TestRunnerDensePathEquivalence:
             block = cov[: state.dim - 2, : state.dim - 2]
             assert np.array_equal(block, block.T)
             assert _uncertainty_margin(block, has_theta) >= -1e-12 * np.max(np.abs(block))
+
+    @pytest.mark.parametrize("etas, n_steps", [
+        ([2e4, 5e4, 1e4], 2500),
+        # decay far beyond the coarse-graining range: the chunks shorten so
+        # that the loss-scaled read block stays finite
+        ([4e7, 3e7, 2e7], 1200),
+    ])
+    def test_chunk_boundaries_thick(self, etas, n_steps):
+        """Several chunks of steps fall between two samples."""
+        slices = SliceConfig(3, np.array([4e5, 8e5, 6e5]), np.array(etas),
+                             np.array([0.028, 0.01, 0.04]))
+        sc = build_thick(slices, tau=1e-8, t_end=n_steps * 1e-8,
+                         sample_every=n_steps)
+        assert sc.phases[0].segment.chunk_steps < sc.sample_every // 2
+        self._compare_samples(sc, seed=9)
+
+    def test_chunk_boundaries_estimation(self):
+        """Phase ends and the rotation fall between samples."""
+        slices = SliceConfig(2, np.array([9e5, 9e5]), np.array([3e4, 3e4]),
+                             np.array([0.02, 0.03]))
+        est = EstimationParams(t1=1300e-8, t2=1305e-8, alphas=(1.5, 0.7),
+                               var_theta0=0.5, theta_true=0.2)
+        sc = build_estimation(slices, est, tau=1e-8, t_end=3005e-8,
+                              sample_every=1500)
+        assert sc.total_steps == 3000
+        self._compare_samples(sc, seed=2)
+
+    def test_theta_p_correlated_prior(self):
+        """A prior correlating theta with the p rows stays exactly symmetric."""
+        est = EstimationParams(t1=5e-8, t2=6e-8, alphas=(2.0, -1.0),
+                               var_theta0=0.5, theta_true=0.1)
+        sc = build_estimation((SpreadSpec(1.83e6, 0.3), 2, RATES), est,
+                              tau=1e-8, t_end=1e-7, sample_every=3)
+        cov = sc.initial_state.cov.copy()
+        cov[0, 2] = cov[2, 0] = 0.3
+        cov[0, 4] = cov[4, 0] = -0.2
+        cov[2, 4] = cov[4, 2] = 0.1
+        state = GaussianState(sc.initial_state.labels, sc.initial_state.mean, cov)
+        sc = dataclasses.replace(sc, initial_state=state, sample_every=9)
+        self._compare_samples(sc, seed=1)
+        _, traj = run(sc, seed=1, record_cov=True)
+        assert all(np.array_equal(c, c.T) for c in traj.cov_samples)
+
+
+class TestBlockSplitRefusals:
+    """What the read/unread split cannot represent is refused by run."""
+
+    def test_x_p_correlated_initial_state(self):
+        sc = build_homogeneous(RATES, tau=1e-8, t_end=1e-7, sample_every=5)
+        cov = sc.initial_state.cov.copy()
+        cov[0, 1] = cov[1, 0] = 0.2
+        state = GaussianState(sc.initial_state.labels, sc.initial_state.mean, cov)
+        with pytest.raises(InvalidInputError, match="correlates x rows"):
+            run(dataclasses.replace(sc, initial_state=state))
+
+    def test_rotation_target_outside_read_block(self):
+        est = EstimationParams(t1=5e-8, t2=6e-8, alpha=1.0)
+        sc = build_estimation(RATES, est, tau=1e-8, t_end=1e-7)
+        squeeze, rotation, probe = sc.phases
+        x_row = dataclasses.replace(rotation, targets=np.array([1]))
+        with pytest.raises(InvalidInputError, match="rotation"):
+            run(dataclasses.replace(sc, phases=(squeeze, x_row, probe)))
+
+    def test_rotation_source_outside_read_block(self):
+        sc = build_homogeneous(RATES, tau=1e-8, t_end=1e-7, sample_every=5)
+        rotation = RotationPhase(duration=0.0, targets=[1], alphas=[1.0])
+        with pytest.raises(InvalidInputError, match="rotation"):
+            run(dataclasses.replace(sc, phases=sc.phases + (rotation,)))
 
 
 def _symplectic(n_vars: int, has_theta: bool) -> np.ndarray:
