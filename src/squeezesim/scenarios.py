@@ -307,9 +307,9 @@ class BeamSegment:
     diagonal, so the map never couples the read block (theta and the p
     rows) to the unread block (the x rows).  It is stored split that way:
     ``read`` and ``unread`` are the two BlockMaps and ``spread`` is S on the
-    unread block.  At step k of the phase w and h carry kappa_decay**k and
-    q carries noise_growth**k; S and ``shot`` are fixed.  ``chunk_steps``
-    caps the steps the runner advances at once.
+    unread block.  At step k of the phase w and h carry decay**k and q
+    carries growth**k; S and ``shot`` are fixed.  ``chunk_steps`` caps the
+    steps the runner advances at once.
     """
 
     read: BlockMap

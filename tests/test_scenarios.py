@@ -287,7 +287,7 @@ class TestRunnerDensePathEquivalence:
 
     def _compare_samples(self, sc: Scenario, seed: int):
         """Every sample of the runner against the dense path at 1e-12."""
-        ts, traj = run(sc, seed=seed, record_cov=True)
+        _, traj = run(sc, seed=seed, record_cov=True)
         dense = {}
         for done, state in self._dense_states(sc, seed, sc.total_steps):
             if done % sc.sample_every == 0:
@@ -299,6 +299,7 @@ class TestRunnerDensePathEquivalence:
             assert np.max(np.abs(cov - state.cov)) <= 1e-12 * scale
             mean_scale = max(1.0, np.max(np.abs(state.mean)))
             assert np.max(np.abs(mean - state.mean)) <= 1e-12 * mean_scale
+        return traj
 
     def _compare(self, sc_full, sc_short, seed=7):
         ts, traj = run(sc_short, seed=seed, record_cov=True)
@@ -397,8 +398,7 @@ class TestRunnerDensePathEquivalence:
         cov[2, 4] = cov[4, 2] = 0.1
         state = GaussianState(sc.initial_state.labels, sc.initial_state.mean, cov)
         sc = dataclasses.replace(sc, initial_state=state, sample_every=9)
-        self._compare_samples(sc, seed=1)
-        _, traj = run(sc, seed=1, record_cov=True)
+        traj = self._compare_samples(sc, seed=1)
         assert all(np.array_equal(c, c.T) for c in traj.cov_samples)
 
 
