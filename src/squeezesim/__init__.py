@@ -37,19 +37,17 @@ from .errors import (
 )
 from .gaussian_core import (
     GaussianState,
-    MeasurementRecord,
     StepOperators,
     TimeSeries,
     TrajectoryRecord,
     apply_step,
     measure_light_x,
-    run_sequence,
     squeezing_minimum,
     standard_labels,
     vacuum_state,
     variance_of,
 )
-from .numerics import integrate_scalar_ode, projected_pseudoinverse, sym_eig_min
+from .numerics import integrate_scalar_ode, sym_eig_min
 from .physics import (
     CouplingRates,
     PhysicalParams,

@@ -83,6 +83,12 @@ PRESETS = {
     },
 }
 
+
+class _Seed:
+    """Schema type of a seed: a non-negative integer."""
+
+
+#: Value types by key; a one-element list types every entry of a list.
 _SCHEMA = {
     "preset": str,
     "scenario": str,
@@ -102,7 +108,7 @@ _SCHEMA = {
     "tau": float,
     "t_end": float,
     "var0": float,
-    "seed": int,
+    "seed": _Seed,
     "sample_every": int,
     "n_slices": int,
     "delta": float,
@@ -113,13 +119,13 @@ _SCHEMA = {
         "t1": float,
         "t2": float,
         "alpha": float,
-        "alphas": list,
+        "alphas": [float],
         "alphas_track_coupling": bool,
         "var_theta0": float,
         "theta_true": float,
     },
     "output_dir": str,
-    "sweep": {"deltas": list, "n_slices": list, "seeds": list},
+    "sweep": {"deltas": [float], "n_slices": [int], "seeds": [_Seed]},
 }
 
 
@@ -155,32 +161,39 @@ def _check_keys(tree: dict, schema: dict, path: str = ""):
         here = f"{path}.{key}" if path else key
         if key not in schema:
             raise ParseError(f"unknown key {here!r}")
-        want = schema[key]
-        if isinstance(want, dict):
-            if not isinstance(val, dict):
-                raise ParseError(f"{here!r} must be an object")
-            _check_keys(val, want, here)
-        elif want is float:
-            if not isinstance(val, (int, float)) or isinstance(val, bool):
-                raise ParseError(f"{here!r} must be a number")
-            try:
-                finite = math.isfinite(val)
-            except OverflowError:  # an integer beyond the float range
-                finite = False
-            if not finite:
-                raise ParseError(f"{here!r} must be finite, got {val!r}")
-        elif want is int:
-            if not isinstance(val, int) or isinstance(val, bool):
-                raise ParseError(f"{here!r} must be an integer")
-        elif want is list:
-            if not isinstance(val, list):
-                raise ParseError(f"{here!r} must be a list")
-        elif want is bool:
-            if not isinstance(val, bool):
-                raise ParseError(f"{here!r} must be a boolean")
-        elif want is str:
-            if not isinstance(val, str):
-                raise ParseError(f"{here!r} must be a string")
+        _check_value(val, schema[key], here)
+
+
+def _check_value(val, want, here: str):
+    if isinstance(want, dict):
+        if not isinstance(val, dict):
+            raise ParseError(f"{here!r} must be an object")
+        _check_keys(val, want, here)
+    elif isinstance(want, list):
+        if not isinstance(val, list):
+            raise ParseError(f"{here!r} must be a list")
+        for i, item in enumerate(val):
+            _check_value(item, want[0], f"{here}[{i}]")
+    elif want is float:
+        if not isinstance(val, (int, float)) or isinstance(val, bool):
+            raise ParseError(f"{here!r} must be a number")
+        try:
+            finite = math.isfinite(val)
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
+            raise ParseError(f"{here!r} must be finite, got {val!r}")
+    elif want in (int, _Seed):
+        if not isinstance(val, int) or isinstance(val, bool):
+            raise ParseError(f"{here!r} must be an integer")
+        if want is _Seed and val < 0:
+            raise ParseError(f"{here!r} must be a non-negative integer, got {val}")
+    elif want is bool:
+        if not isinstance(val, bool):
+            raise ParseError(f"{here!r} must be a boolean")
+    elif want is str:
+        if not isinstance(val, str):
+            raise ParseError(f"{here!r} must be a string")
 
 
 def default_output_dir() -> Path:
@@ -452,8 +465,25 @@ def rates_command(cfg: RunConfig) -> int:
 # Figure data sets
 
 
+@dataclass(frozen=True)
+class _ReferenceLine:
+    """A constant level of the angle-estimation figure, from t2 to t_end.
+
+    ``kind`` is "sym_line" for the symmetric-variable prediction at spread
+    ``delta`` and "eff_line" for the probed-variable limit.
+    """
+
+    kind: str
+    delta: float
+    t_end: float
+
+
 def _figure_curves(fig_id: int, tau: float | None, t_end: float | None):
-    """Yield (name, description, callable) per curve of a bundled figure."""
+    """Yield (name, description, curve, columns) per curve of a bundled figure.
+
+    A curve is a RunConfig to run, whose sampled ``columns`` are written
+    (all of the scenario's when None), or a _ReferenceLine.
+    """
     rates = physics.CouplingRates(**PRESET_RATES)
     noiseless = physics.CouplingRates(PRESET_RATES["kappa_sq"], 0.0, 0.0)
     tau = tau or 1e-8
@@ -518,20 +548,20 @@ def _figure_curves(fig_id: int, tau: float | None, t_end: float | None):
             yield f"fig5_curve{8 + j}", {
                 "curve": f"symmetric-variable limit, delta={delta}",
                 "delta": delta, "column": "var_theta_limit_sym",
-            }, ("sym_line", delta, tau, t_end), None
+            }, _ReferenceLine("sym_line", delta, t_end), None
         yield "fig5_curve10", {
             "curve": "probed-variable limit (spread independent)",
             "column": "var_theta_limit_eff",
-        }, ("eff_line", 0.0, tau, t_end), None
+        }, _ReferenceLine("eff_line", 0.0, t_end), None
     else:
         raise SqueezesimError(f"unknown figure id {fig_id}; expected 1..5")
 
 
-def _fig5_line(kind: str, delta: float, t_end: float):
-    """Constant reference levels for the angle-estimation figure."""
+def _fig5_line(line: _ReferenceLine):
+    """Times and level of a reference line of the angle-estimation figure."""
     est = PRESETS["fig5"]["estimation"]
     rates = physics.CouplingRates(**PRESET_RATES)
-    spread = scenarios.SpreadSpec(kappa0_sq=rates.kappa_sq, delta=delta)
+    spread = scenarios.SpreadSpec(kappa0_sq=rates.kappa_sq, delta=line.delta)
     ksq = spread.slice_kappas_sq(10)
     kap = np.sqrt(ksq)
     alphas = np.asarray(
@@ -544,13 +574,13 @@ def _fig5_line(kind: str, delta: float, t_end: float):
         kappa_sq=rates.kappa_sq, eta=rates.eta, epsilon=rates.epsilon
     )
     var_eff_t1 = analytic.var_p_noisy(est["t1"], params)
-    if kind == "eff_line":
+    if line.kind == "eff_line":
         level = analytic.var_theta_inhom(var_eff_t1, kap, alphas)
     else:
         a, _, _ = collective_decomposition(kap)
         var_p_sym = analytic.var_symmetric(var_eff_t1, a)
         level = analytic.var_theta_inhom_symmetric(var_p_sym, alphas)
-    times = np.linspace(est["t2"], t_end, 51)
+    times = np.linspace(est["t2"], line.t_end, 51)
     return times, {"var_theta": np.full_like(times, level)}
 
 
@@ -576,9 +606,8 @@ def reproduce_figure(
     run_cache: dict[tuple, tuple] = {}
     try:
         for name, desc, cfg, cols in _figure_curves(fig_id, tau, t_end):
-            if isinstance(cfg, tuple):
-                kind, delta, _tau, te = cfg
-                times, data = _fig5_line(kind, delta, te)
+            if isinstance(cfg, _ReferenceLine):
+                times, data = _fig5_line(cfg)
             else:
                 cfg.seed = seed
                 key = _run_key(cfg)

@@ -14,17 +14,16 @@ are conditioned on and reset, unmeasured segments are traced out.  Either
 way a fresh vacuum segment is in place for the next step, which is exact
 because spent segments never interact again.
 
-The dense operations here (StepOperators, apply_step, measure_light_x,
-run_sequence) carry the light pair explicitly and serve as the reference
-for the scenario runner.  The runner never stores the light pair and
-splits the atomic block into the rows the probe reads (theta and the p
-rows) and the x rows it does not; the two agree to round-off (1e-12
-relative in the tests).
+The dense operations here (StepOperators, apply_step, measure_light_x)
+carry the light pair explicitly; the tests build them from a scenario's
+slice rates as the reference for the scenario runner.  The runner never
+stores the light pair and splits the atomic block into the rows the probe
+reads (theta and the p rows) and the x rows it does not; the two agree to
+round-off (1e-12 relative in the tests).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -197,20 +196,6 @@ class StepOperators:
         return self.l[:, None] * self.s
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """One probe-quadrature detection.
-
-    chi is the Gaussian deviation of the outcome from the pre-measurement
-    mean of x_ph: zero mean and variance bxx / 2, where bxx is the
-    covariance entry of x_ph before detection; outcome = pre-mean + chi.
-    """
-
-    time: float
-    chi: float
-    outcome: float
-
-
 @dataclass
 class TrajectoryRecord:
     """Per-run log: sampled means/variances plus the measurement stream."""
@@ -221,13 +206,6 @@ class TrajectoryRecord:
     chis: np.ndarray = field(default_factory=lambda: np.empty(0))
     outcomes: np.ndarray = field(default_factory=lambda: np.empty(0))
     cov_samples: list = field(default_factory=list)
-
-    @property
-    def records(self) -> list[MeasurementRecord]:
-        return [
-            MeasurementRecord(float(t), float(c), float(o))
-            for t, c, o in zip(self.measurement_times, self.chis, self.outcomes)
-        ]
 
 
 @dataclass
@@ -243,8 +221,8 @@ class TimeSeries:
 
 # ---------------------------------------------------------------------------
 # In-place kernels.  These mutate (cov, mean) directly.  Measurement and
-# trace-out serve the dense reference path below; the scenario runner, which
-# never stores the light pair, uses only the impulse.
+# trace-out serve the dense reference path; the scenario runner, which never
+# stores the light pair, uses only the impulse.
 
 
 def _impulse_inplace(cov, mean, targets, coeffs, source):
@@ -262,7 +240,7 @@ def _impulse_inplace(cov, mean, targets, coeffs, source):
     mean += u * mean[source]
 
 
-def _measure_inplace(cov, mean, chi, buf=None):
+def _measure_inplace(cov, mean, chi):
     """Condition on a detection of x_ph, then load a fresh vacuum segment.
 
     Returns (pre_mean, outcome).  The covariance update is outcome
@@ -278,11 +256,7 @@ def _measure_inplace(cov, mean, chi, buf=None):
         )
     pre_mean = float(mean[x])
     g = cov[:d2, x]
-    if buf is None:
-        buf = np.empty((d2, d2))
-    np.outer(g, g, out=buf)
-    buf /= bxx
-    cov[:d2, :d2] -= buf
+    cov[:d2, :d2] -= np.outer(g, g) / bxx
     mean[:d2] += g * (chi / bxx)
     cov[d2:, :] = 0.0
     cov[:, d2:] = 0.0
@@ -326,100 +300,21 @@ def apply_step(state: GaussianState, step: StepOperators) -> GaussianState:
     return GaussianState(state.labels, mean, cov)
 
 
-def measure_light_x(
-    state: GaussianState, chi: float, time: float = 0.0
-) -> tuple[GaussianState, MeasurementRecord]:
+def measure_light_x(state: GaussianState, chi: float) -> tuple[GaussianState, float]:
     """Condition the state on a polarization-rotation detection.
 
     The light quadrature x_ph is measured perfectly; the atomic block loses
     the variance explained by its correlations with x_ph (independent of
     the outcome), means shift proportionally to the deviation chi, and the
-    spent segment is replaced by fresh vacuum.
+    spent segment is replaced by fresh vacuum.  Returns the new state and
+    the outcome, the pre-detection mean of x_ph plus chi.
     """
     _require_light_last(state)
     cov = state.cov.copy()
     mean = state.mean.copy()
-    pre_mean, outcome = _measure_inplace(cov, mean, chi)
+    _, outcome = _measure_inplace(cov, mean, chi)
     symmetrize(cov)
-    new_state = GaussianState(state.labels, mean, cov)
-    return new_state, MeasurementRecord(time=time, chi=chi, outcome=outcome)
-
-
-def run_sequence(
-    state: GaussianState,
-    steps: Sequence[StepOperators],
-    measure_after_each: bool = True,
-    rng_seed: int = 0,
-    observables: Sequence[CollectiveVariable] = (),
-) -> tuple[GaussianState, TrajectoryRecord, TimeSeries]:
-    """Propagate through a list of steps, one fresh beam segment per step.
-
-    When measuring, the deviation of every outcome is chi = sqrt(bxx) * z,
-    with bxx the pre-detection covariance entry of x_ph and z drawn as
-    Normal(0, 1/2) from numpy's seeded PCG64 generator, so trajectories are
-    bit-reproducible for a given ``rng_seed``.  Without measurement the
-    segments are traced out after interacting.  Requested collective
-    variances are recorded after every step.
-    """
-    _require_light_last(state)
-    cov = state.cov.copy()
-    mean = state.mean.copy()
-    dim = state.dim
-    rng = np.random.default_rng(rng_seed)
-    n_steps = len(steps)
-    chis = rng.normal(0.0, CHI_STD, n_steps) if measure_after_each else None
-    x_ph = dim - 2
-    out_times = np.empty(n_steps)
-    outcomes = np.empty(n_steps)
-    traj = TrajectoryRecord(seed=rng_seed)
-    ts_cols = {f"var_cv{i}": np.empty(n_steps) for i in range(len(observables))}
-    times = np.empty(n_steps)
-    ls_cache: dict[int, np.ndarray] = {}
-    noise_cache: dict[int, np.ndarray] = {}
-    buf = np.empty((dim - 2, dim - 2))
-    t = 0.0
-    atom_slice = state.atom_slice
-    for k, step in enumerate(steps):
-        if step.dim != dim:
-            raise InvalidInputError(
-                f"step {k} dimension {step.dim} does not match state"
-            )
-        key = id(step)
-        ls = ls_cache.get(key)
-        if ls is None:
-            ls = ls_cache[key] = step.loss_times_s()
-            noise_cache[key] = step.noise_diagonal()
-        cov = ls @ cov @ ls.T
-        diag = cov.ravel()[:: dim + 1]
-        diag += noise_cache[key]
-        mean = ls @ mean
-        t += step.tau
-        if measure_after_each:
-            # a non-positive bxx is refused by _measure_inplace
-            chis[k] *= math.sqrt(max(float(cov[x_ph, x_ph]), 0.0))
-            _, outcome = _measure_inplace(cov, mean, chis[k], buf)
-            out_times[k] = t
-            outcomes[k] = outcome
-        else:
-            _traceout_inplace(cov, mean)
-        times[k] = t
-        if observables:
-            block = cov[atom_slice, atom_slice]
-            for i, cv in enumerate(observables):
-                c = cv.coefficients
-                ts_cols[f"var_cv{i}"][k] = float(c @ block @ c) / 2.0
-            traj.samples.append(
-                (t, mean.copy(), tuple(ts_cols[f"var_cv{i}"][k] for i in range(len(observables))))
-            )
-        else:
-            traj.samples.append((t, mean.copy(), ()))
-    if measure_after_each:
-        traj.measurement_times = out_times
-        traj.chis = chis if chis is not None else np.empty(0)
-        traj.outcomes = outcomes
-    symmetrize(cov)
-    final = GaussianState(state.labels, mean, cov)
-    return final, traj, TimeSeries(times=times, columns=ts_cols)
+    return GaussianState(state.labels, mean, cov), outcome
 
 
 def variance_of(state: GaussianState, v: CollectiveVariable) -> float:

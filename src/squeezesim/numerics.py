@@ -12,7 +12,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .errors import DegenerateCovarianceError, DivergenceError, InvalidInputError
+from .errors import DivergenceError, InvalidInputError
 
 # Relative asymmetry accepted on input matrices before we refuse to treat
 # them as symmetric.  Library-produced covariances are symmetrized to much
@@ -58,24 +58,6 @@ def sym_eig_min(m: np.ndarray) -> Tuple[float, np.ndarray]:
     i = int(np.argmin(w))
     vec = v[:, i]
     return float(w[i]), vec / np.linalg.norm(vec)
-
-
-def projected_pseudoinverse(b: np.ndarray) -> np.ndarray:
-    """Pseudoinverse of a 2x2 covariance restricted to its first quadrature.
-
-    With the projector pi = diag(1, 0), the Moore-Penrose inverse of
-    pi*b*pi is diag(1/b[0,0], 0).  This is the update kernel for a perfect
-    measurement of the first of the two variables.
-    """
-    a = check_symmetric(b)
-    if a.shape != (2, 2):
-        raise InvalidInputError(f"expected a 2x2 matrix, got shape {a.shape}")
-    b00 = float(a[0, 0])
-    if b00 <= 0.0:
-        raise DegenerateCovarianceError(
-            f"measured-quadrature variance must be positive, got {b00}"
-        )
-    return np.array([[1.0 / b00, 0.0], [0.0, 0.0]])
 
 
 def integrate_scalar_ode(

@@ -6,17 +6,21 @@ beam segment at a time (couple, damp, inject noise, detect); a rotation
 phase applies the unknown-angle displacement as a single impulse, since the
 dark interval has no other dynamics.
 
-The probe pair is fresh vacuum at the start of every step and spent at its
-end, so the runner never stores it: each probe phase folds its groups into
-one BeamSegment, a map of the atomic block followed by a rank-1 Kalman
+A probe phase holds ProbeGroups, each no more than the slices it couples
+and their rates: the coupling kappa^2 and decay rate eta each slice sees,
+the group's absorption epsilon and the transmission of the beam reaching
+it.  The probe pair is fresh vacuum at the start of every step and spent
+at its end, so the runner never stores it: each probe phase folds its
+groups' rates into one BeamSegment (cached per scenario in
+Scenario.segments), a map of the atomic block followed by a rank-1 Kalman
 update for the detection.  The probe reads only theta and the p rows, and
 the map never couples them to the x rows, so the runner keeps two blocks:
 the read block takes the Kalman update every step, and the unread x block
 advances once per chunk of steps in closed form.  Every scenario runs
 through that one path, so the single-slice homogeneous run and the
 one-slice limit of the sliced (thick) run execute identical arithmetic.
-The dense operators of gaussian_core, which carry the light pair, are the
-reference it is tested against.
+The tests check it against dense operators built from the same rates with
+the light pair carried explicitly.
 
 Per-step time dependence uses exponential factors frozen at the step start:
 couplings shrink as exp(-eta t / 2) while the mean spin decays, the atomic
@@ -42,7 +46,6 @@ from .errors import (
 from .gaussian_core import (
     CHI_STD,
     GaussianState,
-    StepOperators,
     TimeSeries,
     TrajectoryRecord,
     _impulse_inplace,
@@ -178,61 +181,37 @@ class SliceConfig:
 class ProbeGroup:
     """One simultaneous coupling of a set of slices to the light.
 
-    Start-of-phase values, folded into the phase's BeamSegment.  ``ax_rows``
-    are the x-variable indices of the coupled slices; the light pair is
-    always the final two variables.  ``loss_diag`` and ``noise0`` are
-    full-dimension diagonals (noise carries its prefactors folded in);
-    ``kappa_decay`` / ``noise_growth`` are per-step exponential factors.
+    ``ax_rows`` are the x-variable indices of the coupled slices (each
+    slice's p variable follows its x).  ``kappas_sq`` and ``etas`` are the
+    coupling and decay rate each slice sees at the start of probing,
+    ``epsilon`` the absorption the group inflicts on the beam, and
+    ``transmission`` the fraction of the beam intensity that reaches it,
+    which amplifies the photon noise the group adds by 1 / transmission.
     """
 
     ax_rows: np.ndarray
-    kappas0: np.ndarray
-    kappa_decay: np.ndarray
-    loss_diag: np.ndarray
-    noise0: np.ndarray
-    noise_growth: np.ndarray
+    kappas_sq: np.ndarray
     etas: np.ndarray
-    light_prefactor: float = 1.0
+    epsilon: float = 0.0
+    transmission: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "ax_rows", np.asarray(self.ax_rows, dtype=int))
-        for name in ("kappas0", "kappa_decay", "loss_diag", "noise0",
-                     "noise_growth", "etas"):
-            object.__setattr__(
-                self, name, np.asarray(getattr(self, name), dtype=float)
-            )
-
-    def values_at(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """(kappas, noise diagonal) in effect at step index k of the phase."""
-        return self.kappas0 * self.kappa_decay**k, self.noise0 * self.noise_growth**k
-
-    def step_operators(self, dim: int, k: int, tau: float) -> StepOperators:
-        """Equivalent dense operators at step index k (reference path)."""
-        kappas, noise = self.values_at(k)
-        x, p = dim - 2, dim - 1
-        s = np.eye(dim)
-        for a, kv in zip(self.ax_rows, kappas):
-            s[a, p] = kv
-            s[x, a + 1] = kv
-        atom_rows = np.concatenate([self.ax_rows, self.ax_rows + 1])
-        m = np.zeros(dim)
-        n = np.zeros(dim)
-        n[x] = noise[x] / self.light_prefactor
-        n[p] = noise[p] / self.light_prefactor
-        if len(self.ax_rows) == 1 and self.etas[0] > 0.0:
-            # single slice: express the growing noise floor via the prefactor
-            eta_tau = float(self.etas[0]) * tau
-            m[atom_rows] = eta_tau
-            atom_prefactor = float(noise[self.ax_rows[0]]) / eta_tau
-        else:
-            # several slices with distinct decay rates: fold floors into m
-            m[atom_rows] = noise[atom_rows] / 2.0
-            atom_prefactor = 2.0
-        return StepOperators(
-            s=s, l=self.loss_diag.copy(), m=m, n=n,
-            atom_prefactor=atom_prefactor,
-            light_prefactor=self.light_prefactor, tau=tau,
-        )
+        for name in ("kappas_sq", "etas"):
+            v = np.asarray(getattr(self, name), dtype=float)
+            require_finite(**{name: v})
+            if v.shape != self.ax_rows.shape:
+                raise InvalidInputError(
+                    f"{name} must have one entry per row in ax_rows"
+                )
+            if np.any(v < 0):
+                raise InvalidInputError(f"{name} entries must be nonnegative")
+            object.__setattr__(self, name, v)
+        require_finite(epsilon=self.epsilon, transmission=self.transmission)
+        if not 0.0 <= self.epsilon < 1.0:
+            raise InvalidInputError("epsilon must lie in [0, 1)")
+        if not 0.0 < self.transmission <= 1.0:
+            raise InvalidInputError("transmission must lie in (0, 1]")
 
 
 def _block_rows(m: int) -> tuple[slice, slice]:
@@ -321,15 +300,18 @@ class BeamSegment:
     chunk_steps: int
 
     @classmethod
-    def compose(cls, groups, dim: int) -> "BeamSegment":
+    def compose(cls, groups, m: int, tau: float, t_start: float = 0.0):
         """Fold groups, applied in beam order, into one segment map.
 
-        Each group may couple only x rows (with their p rows), may damp and
-        feed noise only into the slices it couples, and each slice is
-        coupled by at most one group; losses lie in (0, 1] and the light's
-        noise must not grow.  The builders' groups always satisfy this.
+        ``m`` is the size of the atomic block and ``t_start`` the time the
+        phase begins.  At time t a slice with rates (kappa^2, eta) couples
+        with sqrt(kappa^2 tau) exp(-eta t / 2) and damps its two rows by
+        sqrt(1 - eta tau) while feeding them noise 2 eta tau exp(eta t); a
+        group damps the light by sqrt(1 - epsilon) and adds epsilon /
+        transmission of noise to it.  Each group may couple only x rows
+        (with their p rows), each slice at most once, and eta tau must stay
+        below one.
         """
-        m = dim - 2
         read, unread = _block_rows(m)
         x_rows = np.arange(m)[unread]
         loss = np.ones(m)
@@ -339,43 +321,36 @@ class BeamSegment:
         readout = np.zeros(m)
         decay = np.ones(m)
         level = np.ones(m)
-        owner = np.full(m, -1)
-        shot = 1.0  # x_ph covariance entry: vacuum, then each group's loss and noise
-        var_p = 1.0  # the same for p_ph, which drives the back-action
+        coupled = np.zeros(m, dtype=bool)
+        kappas0 = []
+        slice_decay = []
+        shot = 1.0  # variance of each light quadrature, group by group
         trans_p = 1.0
         for i, g in enumerate(groups):
-            for name in ("loss_diag", "noise0", "noise_growth"):
-                if getattr(g, name).shape != (dim,):
-                    raise InvalidInputError(f"group {i}: {name} must have length {dim}")
             ax = g.ax_rows
             if not np.all(np.isin(ax, x_rows)):
                 raise InvalidInputError(f"group {i} couples rows that are not x rows")
-            if not np.all((g.loss_diag > 0.0) & (g.loss_diag <= 1.0)):
-                raise InvalidInputError(f"group {i}: losses must lie in (0, 1]")
-            rows = np.concatenate([ax, ax + 1])
-            if np.any(owner[rows] >= 0):
+            if np.any(coupled[ax]):
                 raise InvalidInputError(f"group {i} couples a slice already coupled")
-            owner[rows] = i
-            rest = owner != i
-            if (np.any(g.loss_diag[:m][rest] != 1.0)
-                    or np.any(g.noise0[:m][rest] != 0.0)):
-                raise InvalidInputError(
-                    f"group {i} damps or feeds noise into rows it does not couple"
-                )
-            if np.any(g.noise_growth[m:] != 1.0):
-                raise InvalidInputError(f"group {i}: light noise must not grow")
-            loss[rows] = g.loss_diag[rows]
-            noise[rows] = g.noise0[rows]
-            growth[rows] = g.noise_growth[rows]
-            back[ax] = loss[ax] * g.kappas0 * trans_p
-            level[ax] = var_p / (trans_p * trans_p)
-            decay[ax] = decay[ax + 1] = g.kappa_decay
-            readout[ax + 1] = g.kappas0
-            l_x, l_p = float(g.loss_diag[m]), float(g.loss_diag[m + 1])
-            readout *= l_x
-            shot = l_x * l_x * shot + float(g.noise0[m])
-            var_p = l_p * l_p * var_p + float(g.noise0[m + 1])
-            trans_p *= l_p
+            coupled[ax] = True
+            eta_tau = g.etas * tau
+            if np.any(eta_tau >= 1.0):
+                raise InvalidInputError(f"group {i}: eta * tau must be below 1")
+            k0 = np.sqrt(g.kappas_sq * tau) * np.exp(-g.etas * t_start / 2.0)
+            k_decay = np.exp(-eta_tau / 2.0)
+            loss[ax] = loss[ax + 1] = np.sqrt(1.0 - eta_tau)
+            noise[ax] = noise[ax + 1] = 2.0 * eta_tau * np.exp(g.etas * t_start)
+            growth[ax] = growth[ax + 1] = np.exp(eta_tau)
+            back[ax] = loss[ax] * k0 * trans_p
+            level[ax] = shot / (trans_p * trans_p)
+            decay[ax] = decay[ax + 1] = k_decay
+            readout[ax + 1] = k0
+            light = math.sqrt(1.0 - g.epsilon)
+            readout *= light
+            shot = light * light * shot + g.epsilon / g.transmission
+            trans_p *= light
+            kappas0.append(k0)
+            slice_decay.append(k_decay)
         read_map = BlockMap.take(read, loss, noise, growth, readout, decay)
         width = max(len(read_map.coupling0), len(x_rows))
         steps = min(CHUNK_STEPS, max(1, CHUNK_ELEMENTS // width))
@@ -390,10 +365,8 @@ class BeamSegment:
             unread=BlockMap.take(unread, loss, noise, growth, back, decay),
             spread=None if np.all(level == 1.0) else np.minimum.outer(level, level),
             shot=shot,
-            kappas0=np.concatenate([g.kappas0 for g in groups] or [np.empty(0)]),
-            slice_decay=np.concatenate(
-                [g.kappa_decay for g in groups] or [np.empty(0)]
-            ),
+            kappas0=np.concatenate(kappas0 or [np.empty(0)]),
+            slice_decay=np.concatenate(slice_decay or [np.empty(0)]),
             chunk_steps=steps,
         )
 
@@ -415,15 +388,18 @@ class ProbePhase:
     thin sample, one group per slice for a stack the beam crosses
     sequentially); the spent segment is then measured, or traced out when
     ``measure`` is off.  The duration must be a whole number of steps.
+    ``t_start`` is the time the groups' rates refer back to: the phase
+    resumes with the couplings and noise floors they reached by then.
     """
 
     duration: float
     tau: float
     groups: tuple
     measure: bool = True
+    t_start: float = 0.0
 
     def __post_init__(self):
-        require_finite(duration=self.duration, tau=self.tau)
+        require_finite(duration=self.duration, tau=self.tau, t_start=self.t_start)
         if self.tau <= 0:
             raise InvalidInputError("tau must be positive")
         if self.duration < 0:
@@ -438,16 +414,6 @@ class ProbePhase:
     @property
     def n_steps(self) -> int:
         return int(round(self.duration / self.tau))
-
-    @cached_property
-    def segment(self) -> BeamSegment:
-        """The composed map of one step; needs at least one group."""
-        if not self.groups:
-            raise InvalidInputError("a phase without groups has no segment map")
-        return BeamSegment.compose(self.groups, self.groups[0].loss_diag.shape[0])
-
-    def step_operators(self, dim: int, k: int = 0) -> list[StepOperators]:
-        return [g.step_operators(dim, k, self.tau) for g in self.groups]
 
 
 @dataclass(frozen=True)
@@ -474,16 +440,6 @@ class RotationPhase:
     def n_steps(self) -> int:
         return 0
 
-    def step_operators(self, dim: int) -> list[StepOperators]:
-        s = np.eye(dim)
-        s[self.targets, 0] = self.alphas
-        return [
-            StepOperators(
-                s=s, l=np.ones(dim), m=np.zeros(dim), n=np.zeros(dim),
-                tau=self.duration,
-            )
-        ]
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -492,7 +448,6 @@ class Scenario:
     initial_state: GaussianState
     phases: tuple
     observables: tuple
-    tau: float
     sample_every: int = 1000
     meta: dict = field(default_factory=dict)
 
@@ -544,6 +499,16 @@ class Scenario:
                 (cov_u + cov_u.T) / 2.0, state.mean[unread])
 
     @cached_property
+    def segments(self) -> tuple:
+        """One BeamSegment per probe phase, None for a rotation."""
+        m = self.initial_state.dim - 2
+        return tuple(
+            BeamSegment.compose(p.groups, m, p.tau, p.t_start)
+            if isinstance(p, ProbePhase) else None
+            for p in self.phases
+        )
+
+    @cached_property
     def sampler(self) -> "_Sampler":
         """The observables' evaluator, built once per scenario."""
         return _Sampler(self, self.initial_state)
@@ -570,88 +535,31 @@ def _check_thin_epsilon(epsilon: float):
 
 
 def _thin_groups(
-    kappas_sq: np.ndarray,
-    etas: np.ndarray,
-    epsilon: float,
-    tau: float,
-    dim: int,
-    offset: int,
-    t_start: float = 0.0,
+    kappas_sq: np.ndarray, etas: np.ndarray, epsilon: float, offset: int
 ) -> tuple[ProbeGroup, ...]:
-    """Single group: every slice couples to the beam segment simultaneously.
-
-    ``t_start`` shifts the time origin: couplings start from their decayed
-    values and noise floors from their grown values at that time.
-    """
-    n = len(kappas_sq)
-    ax_rows = offset + 2 * np.arange(n)
-    pair_rows = np.sort(np.concatenate([ax_rows, ax_rows + 1]))
-    eta_tau = etas * tau
-    start_gain = np.exp(etas * t_start)
-    loss = np.ones(dim)
-    loss[pair_rows] = np.repeat(np.sqrt(1.0 - eta_tau), 2)
-    loss[-2:] = math.sqrt(1.0 - epsilon)
-    noise0 = np.zeros(dim)
-    noise0[pair_rows] = np.repeat(2.0 * eta_tau * start_gain, 2)
-    noise0[-2:] = epsilon
-    growth = np.ones(dim)
-    growth[pair_rows] = np.repeat(np.exp(eta_tau), 2)
-    return (
-        ProbeGroup(
-            ax_rows=ax_rows,
-            kappas0=np.sqrt(kappas_sq * tau) * np.exp(-etas * t_start / 2.0),
-            kappa_decay=np.exp(-eta_tau / 2.0),
-            loss_diag=loss,
-            noise0=noise0,
-            noise_growth=growth,
-            etas=etas,
-        ),
-    )
+    """Single group: every slice couples to the beam segment simultaneously."""
+    ax_rows = offset + 2 * np.arange(len(kappas_sq))
+    return (ProbeGroup(ax_rows, kappas_sq, etas, epsilon),)
 
 
-def _thick_groups(
-    slices: SliceConfig, tau: float, dim: int, offset: int, t_start: float = 0.0
-) -> tuple[ProbeGroup, ...]:
+def _thick_groups(slices: SliceConfig, offset: int) -> tuple[ProbeGroup, ...]:
     """One group per slice, in beam order, with entering-beam attenuation.
 
     Slice i sees the beam attenuated by the slices in front of it: its
     coupling and decay rate carry the accumulated transmission of the
-    upstream slices, and its photon-noise floor is amplified by the inverse
-    factor.  The transmission is accumulated multiplicatively slice by
-    slice, so the stack's bookkeeping composes exactly.
+    upstream slices, and the photon noise it adds is amplified by the
+    inverse factor.  The transmission is accumulated multiplicatively slice
+    by slice, so the stack's bookkeeping composes exactly.
     """
     groups = []
     transmission = 1.0
-    for i in range(slices.n_slices):
-        ax = offset + 2 * i
-        eta_i = float(slices.etas[i]) * transmission
-        eps_i = float(slices.epsilons[i])
-        k_sq_i = float(slices.kappas_sq[i]) * transmission
-        eta_tau = eta_i * tau
-        start_gain = math.exp(eta_i * t_start)
-        loss = np.ones(dim)
-        loss[ax] = loss[ax + 1] = math.sqrt(1.0 - eta_tau)
-        loss[-2:] = math.sqrt(1.0 - eps_i)
-        noise0 = np.zeros(dim)
-        noise0[ax] = noise0[ax + 1] = 2.0 * eta_tau * start_gain
-        noise0[-2:] = eps_i / transmission
-        growth = np.ones(dim)
-        growth[ax] = growth[ax + 1] = math.exp(eta_tau)
-        groups.append(
-            ProbeGroup(
-                ax_rows=np.array([ax]),
-                kappas0=np.array(
-                    [math.sqrt(k_sq_i * tau) * math.exp(-eta_i * t_start / 2.0)]
-                ),
-                kappa_decay=np.array([math.exp(-eta_tau / 2.0)]),
-                loss_diag=loss,
-                noise0=noise0,
-                noise_growth=growth,
-                etas=np.array([eta_i]),
-                light_prefactor=1.0 / transmission,
-            )
-        )
-        transmission *= math.exp(-eps_i)
+    for i, eps in enumerate(slices.epsilons.tolist()):
+        row = slice(i, i + 1)
+        groups.append(ProbeGroup(
+            [offset + 2 * i], slices.kappas_sq[row] * transmission,
+            slices.etas[row] * transmission, eps, transmission,
+        ))
+        transmission *= math.exp(-eps)
     return tuple(groups)
 
 
@@ -667,15 +575,13 @@ def build_homogeneous(
     _check_thin_epsilon(rates.epsilon)
     state = vacuum_state(standard_labels(1))
     groups = _thin_groups(
-        np.array([rates.kappa_sq]), np.array([rates.eta]), rates.epsilon,
-        tau, state.dim, offset=0,
+        np.array([rates.kappa_sq]), np.array([rates.eta]), rates.epsilon, offset=0
     )
     phase = ProbePhase(duration=t_end, tau=tau, groups=groups, measure=measure)
     return Scenario(
         initial_state=state,
         phases=(phase,),
         observables=("var_p",),
-        tau=tau,
         sample_every=sample_every,
         meta={
             "scenario": "homogeneous",
@@ -719,13 +625,12 @@ def build_thin_inhomogeneous(
     else:
         etas = np.full(n, rates.eta)
     state = vacuum_state(standard_labels(n))
-    groups = _thin_groups(kappas_sq, etas, rates.epsilon, tau, state.dim, offset=0)
+    groups = _thin_groups(kappas_sq, etas, rates.epsilon, offset=0)
     phase = ProbePhase(duration=t_end, tau=tau, groups=groups)
     return Scenario(
         initial_state=state,
         phases=(phase,),
         observables=("min_eig_var", "min_eig_overlap", "var_P_eff", "var_P"),
-        tau=tau,
         sample_every=sample_every,
         meta={
             "scenario": "thin_inhomogeneous",
@@ -757,13 +662,12 @@ def build_thick(
     """
     _check_validity(float(np.max(slices.kappas_sq)), tau)
     state = vacuum_state(standard_labels(slices.n_slices))
-    groups = _thick_groups(slices, tau, state.dim, offset=0)
+    groups = _thick_groups(slices, offset=0)
     phase = ProbePhase(duration=t_end, tau=tau, groups=groups)
     return Scenario(
         initial_state=state,
         phases=(phase,),
         observables=("min_eig_var", "var_P_eff"),
-        tau=tau,
         sample_every=sample_every,
         meta={
             "scenario": "thick",
@@ -806,22 +710,15 @@ def build_estimation(
         _check_validity(base.kappa_sq, tau)
         _check_thin_epsilon(base.epsilon)
         n = 1
-        kappas_sq = np.array([base.kappa_sq])
-        etas = np.array([base.eta])
-
-        def factory(dim, t_start):
-            return _thin_groups(kappas_sq, etas, base.epsilon, tau, dim, 1, t_start)
-
+        groups = _thin_groups(
+            np.array([base.kappa_sq]), np.array([base.eta]), base.epsilon, offset=1
+        )
         base_meta = {"base_scenario": "homogeneous", "kappa_sq": base.kappa_sq,
                      "eta": base.eta, "epsilon": base.epsilon}
     elif isinstance(base, SliceConfig):
         _check_validity(float(np.max(base.kappas_sq)), tau)
         n = base.n_slices
-        etas = base.etas.copy()
-
-        def factory(dim, t_start):
-            return _thick_groups(base, tau, dim, 1, t_start)
-
+        groups = _thick_groups(base, offset=1)
         base_meta = {"base_scenario": "thick", "n_slices": n,
                      "slice_epsilons": base.epsilons.tolist()}
         if atoms_per_slice is None and base.atoms_per_slice:
@@ -841,10 +738,7 @@ def build_estimation(
             etas = rates.eta * kappas_sq / float(np.mean(kappas_sq))
         else:
             etas = np.full(n, rates.eta)
-
-        def factory(dim, t_start):
-            return _thin_groups(kappas_sq, etas, rates.epsilon, tau, dim, 1, t_start)
-
+        groups = _thin_groups(kappas_sq, etas, rates.epsilon, offset=1)
         base_meta = {"base_scenario": "thin_inhomogeneous", "n_slices": n,
                      "delta": spread.delta, "spread_mode": spread.mode,
                      "kappa0_sq": spread.kappa0_sq, "eta_mode": eta_mode,
@@ -859,9 +753,7 @@ def build_estimation(
     elif est.alpha is not None:
         alphas = np.full(n, float(est.alpha))
     elif atoms_per_slice:
-        probe_etas = np.concatenate(
-            [g.etas for g in factory(2 * n + 3, 0.0)]
-        )
+        probe_etas = np.concatenate([g.etas for g in groups])
         alphas = np.array(
             [
                 rotation_coupling(atoms_per_slice, float(probe_etas[i]), est.t1)
@@ -877,14 +769,14 @@ def build_estimation(
     mean = state.mean.copy()
     mean[0] = est.theta_true
     state = GaussianState(state.labels, mean, state.cov)
-    dim = state.dim
-    squeeze = ProbePhase(duration=est.t1, tau=tau, groups=factory(dim, 0.0))
+    squeeze = ProbePhase(duration=est.t1, tau=tau, groups=groups)
     rotation = RotationPhase(
         duration=est.t2 - est.t1,
         targets=2 + 2 * np.arange(n),
         alphas=alphas,
     )
-    probe = ProbePhase(duration=t_end - est.t2, tau=tau, groups=factory(dim, est.t1))
+    probe = ProbePhase(duration=t_end - est.t2, tau=tau, groups=groups,
+                       t_start=est.t1)
     meta = dict(base_meta)
     meta.update(
         {
@@ -902,7 +794,6 @@ def build_estimation(
         initial_state=state,
         phases=(squeeze, rotation, probe),
         observables=("var_theta", "mean_theta", "var_P_eff"),
-        tau=tau,
         sample_every=sample_every,
         meta=meta,
     )
@@ -1161,11 +1052,11 @@ def run(
 
     k = 0
     t = 0.0
+    phases = tuple(zip(scenario.phases, scenario.segments))
     if scenario.total_steps > 0:
-        first = next((p for p in scenario.phases
-                      if isinstance(p, ProbePhase) and p.groups), None)
-        sample(0.0, first.segment.kappas0 if first else np.empty(0))
-    for phase in scenario.phases:
+        sample(0.0, next((seg.kappas0 for p, seg in phases
+                          if seg is not None and p.groups), np.empty(0)))
+    for phase, seg in phases:
         if isinstance(phase, RotationPhase):
             targets = (phase.targets - read.start) // 2
             _impulse_inplace(cov_r, mean_r, targets, phase.alphas, 0)
@@ -1175,7 +1066,6 @@ def run(
         if n_steps == 0:
             t += phase.duration
             continue
-        seg = phase.segment if phase.groups else BeamSegment.compose((), dim)
         cap = min(seg.chunk_steps, n_steps)
         reads = _BlockRun(seg.read, cap)
         unreads = _BlockRun(seg.unread, cap)

@@ -2,13 +2,16 @@
 
 These deliberately avoid the library's code paths: eigenvalues via the
 characteristic polynomial, conditioning via the textbook joint-Gaussian
-formula, curve minima via grid search, and the squeezing recursion via
-direct scalar iteration.
+formula, curve minima via grid search, the squeezing recursion via direct
+scalar iteration, and the probe steps via dense operators that carry the
+light pair, built from a phase's slice rates.
 """
 
 from fractions import Fraction
 
 import numpy as np
+
+from squeezesim.gaussian_core import StepOperators
 
 
 def char_poly_min_eig(m: np.ndarray) -> float:
@@ -66,3 +69,47 @@ def iterate_noiseless_variance(kappa_sq: float, tau: float, n_steps: int,
     for _ in range(n_steps):
         v = v / (1.0 + 2.0 * ktau_sq * v)
     return v
+
+
+def probe_step_operators(phase, dim: int, k: int) -> list:
+    """Dense operators of each group of a probe phase at step index k.
+
+    Couplings and noise floors are their start-of-phase values at
+    ``phase.t_start`` times the per-step factors exp(-eta tau / 2) and
+    exp(eta tau) raised to k; the light pair is the final two variables.
+    """
+    tau = phase.tau
+    x, p = dim - 2, dim - 1
+    ops = []
+    for g in phase.groups:
+        eta_tau = g.etas * tau
+        kappas = (np.sqrt(g.kappas_sq * tau) * np.exp(-g.etas * phase.t_start / 2.0)
+                  * np.exp(-eta_tau / 2.0) ** k)
+        floors = 2.0 * eta_tau * np.exp(g.etas * phase.t_start) * np.exp(eta_tau) ** k
+        s = np.eye(dim)
+        s[g.ax_rows, p] = kappas
+        s[x, g.ax_rows + 1] = kappas
+        loss = np.ones(dim)
+        loss[g.ax_rows] = loss[g.ax_rows + 1] = np.sqrt(1.0 - eta_tau)
+        loss[[x, p]] = np.sqrt(1.0 - g.epsilon)
+        m = np.zeros(dim)
+        n = np.zeros(dim)
+        n[[x, p]] = g.epsilon
+        if len(g.ax_rows) == 1 and eta_tau[0] > 0.0:
+            # single slice: the growing noise floor rides on the prefactor
+            m[g.ax_rows] = m[g.ax_rows + 1] = eta_tau
+            atom_prefactor = float(floors[0] / eta_tau[0])
+        else:
+            m[g.ax_rows] = m[g.ax_rows + 1] = floors / 2.0
+            atom_prefactor = 2.0
+        ops.append(StepOperators(s=s, l=loss, m=m, n=n, atom_prefactor=atom_prefactor,
+                                 light_prefactor=1.0 / g.transmission, tau=tau))
+    return ops
+
+
+def rotation_step_operators(phase, dim: int) -> StepOperators:
+    """The impulse p_i -> p_i + alpha_i theta as one dense operator."""
+    s = np.eye(dim)
+    s[phase.targets, 0] = phase.alphas
+    return StepOperators(s=s, l=np.ones(dim), m=np.zeros(dim), n=np.zeros(dim),
+                         tau=phase.duration)

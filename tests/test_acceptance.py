@@ -195,7 +195,7 @@ def test_criterion_6_thick_gas():
     slices25 = sq.SliceConfig.split(25, NOISY, per_slice_epsilon=0.028)
     sc25 = sq.build_thick(slices25, tau=5e-8, t_end=1e-6)
     chained = 1.0 - 1.0 / (
-        sc25.phases[0].groups[-1].light_prefactor * math.exp(0.028)
+        1 / sc25.phases[0].groups[-1].transmission * math.exp(0.028)
     )
     target = 1.0 - math.exp(-25 * 0.028)
     assert abs(chained - target) < 1e-12

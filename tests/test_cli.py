@@ -85,6 +85,19 @@ class TestParseConfig:
         with pytest.raises(ParseError, match="estimation.t1"):
             parse_config(cfg_text(scenario="estimation"))
 
+    @pytest.mark.parametrize("over, match", [
+        ({"sweep": {"deltas": ["x"]}}, r"'sweep.deltas\[0\]' must be a number"),
+        ({"sweep": {"n_slices": [2.5]}}, r"'sweep.n_slices\[0\]' must be an integer"),
+        ({"sweep": {"n_slices": [True]}}, r"'sweep.n_slices\[0\]' must be an integer"),
+        ({"sweep": {"seeds": [0, -1]}}, r"'sweep.seeds\[1\]' must be a non-negative"),
+        ({"estimation": {"t1": 0.0, "t2": 1e-6, "alphas": [True, 1.0]}},
+         r"'estimation.alphas\[0\]' must be a number"),
+        ({"seed": -1}, r"'seed' must be a non-negative integer"),
+    ])
+    def test_malformed_list_entries_and_seeds_rejected(self, over, match):
+        with pytest.raises(ParseError, match=match):
+            parse_config(cfg_text(**over))
+
     def test_not_json(self):
         with pytest.raises(ParseError, match="not valid JSON"):
             parse_config("t_end: y")
@@ -264,6 +277,16 @@ class TestMain:
         cfg_path.write_text("{\"scenario\": \"waffles\"}")
         assert main(["run", "--config", str(cfg_path)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_malformed_sweep_exit_2_without_output(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(cfg_text(
+            scenario="thin_inhomogeneous", n_slices=3, t_end=5e-6,
+            output_dir=str(tmp_path / "sweep"), sweep={"n_slices": [2.5]},
+        ))
+        assert main(["sweep", "--config", str(cfg_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
 
     def test_rates_output(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

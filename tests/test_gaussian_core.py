@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from squeezesim.analytic import CollectiveVariable, var_p_noiseless
+from squeezesim.analytic import CollectiveVariable
 from squeezesim.errors import DegenerateCovarianceError, InvalidInputError
 from squeezesim.gaussian_core import (
     GaussianState,
@@ -11,7 +11,6 @@ from squeezesim.gaussian_core import (
     _impulse_inplace,
     apply_step,
     measure_light_x,
-    run_sequence,
     squeezing_minimum,
     standard_labels,
     vacuum_state,
@@ -128,10 +127,10 @@ class TestApplyStep:
 class TestMeasureLightX:
     def test_uncorrelated_light_changes_nothing(self):
         st = vacuum_state(standard_labels(1))
-        out, rec = measure_light_x(st, chi=0.7)
+        out, outcome = measure_light_x(st, chi=0.7)
         assert np.array_equal(out.cov, np.eye(4))
         assert np.array_equal(out.mean, np.zeros(4))
-        assert rec.outcome == 0.7
+        assert outcome == 0.7
 
     def test_post_step_conditioning(self):
         st = apply_step(vacuum_state(standard_labels(1)), coupling_step(1.0))
@@ -145,50 +144,16 @@ class TestMeasureLightX:
 
     def test_mean_shift(self):
         st = apply_step(vacuum_state(standard_labels(1)), coupling_step(1.0))
-        out, rec = measure_light_x(st, chi=1.0)
+        out, outcome = measure_light_x(st, chi=1.0)
         assert out.mean[1] == pytest.approx(0.5)
         assert out.mean[0] == pytest.approx(0.0)
-        assert rec.outcome - rec.chi == 0.0  # pre-measurement mean of x_ph
+        assert outcome - 1.0 == 0.0  # pre-measurement mean of x_ph
 
     def test_covariance_outcome_independent(self):
         st = apply_step(vacuum_state(standard_labels(1)), coupling_step(0.4))
         out1, _ = measure_light_x(st, chi=-2.0)
         out2, _ = measure_light_x(st, chi=0.9)
         assert np.array_equal(out1.cov, out2.cov)
-
-    def test_degenerate_rejected(self):
-        st = vacuum_state(standard_labels(1))
-        cov = st.cov.copy()
-        cov[2, 2] = 0.0
-        bad = GaussianState(st.labels, st.mean, cov)
-        with pytest.raises(DegenerateCovarianceError):
-            measure_light_x(bad, chi=0.0)
-
-
-class TestRunSequence:
-    def test_zero_steps(self):
-        st = vacuum_state(standard_labels(1))
-        out, traj, ts = run_sequence(st, [], rng_seed=5)
-        assert np.array_equal(out.cov, st.cov)
-        assert traj.samples == []
-        assert len(traj.records) == 0
-
-    def test_long_noiseless_run_matches_closed_form(self):
-        kappa_sq = 1.83e6
-        tau = 1e-8
-        step = coupling_step(math.sqrt(kappa_sq * tau), tau=tau)
-        st = vacuum_state(standard_labels(1))
-        out, _, _ = run_sequence(st, [step] * 100000, rng_seed=0)
-        expected = var_p_noiseless(1e-3, kappa_sq)
-        assert out.variance(1) == pytest.approx(expected, rel=1e-3)
-
-    def test_seed_changes_means_not_covariances(self):
-        step = coupling_step(0.2)
-        st = vacuum_state(standard_labels(1))
-        out1, traj1, _ = run_sequence(st, [step] * 200, rng_seed=1)
-        out2, traj2, _ = run_sequence(st, [step] * 200, rng_seed=2)
-        assert np.array_equal(out1.cov, out2.cov)
-        assert not np.array_equal(out1.mean, out2.mean)
 
     def test_minimum_uncertainty_preserved(self):
         step = coupling_step(0.2)
@@ -200,44 +165,13 @@ class TestRunSequence:
             prod = 4.0 * cur.variance(0) * cur.variance(1)
             assert abs(prod - 1.0) < 1e-9
 
-    def test_var_p_monotone_noiseless(self):
-        step = coupling_step(0.3)
+    def test_degenerate_rejected(self):
         st = vacuum_state(standard_labels(1))
-        peff = CollectiveVariable(np.array([0.0, 1.0]))
-        _, _, ts = run_sequence(st, [step] * 100, rng_seed=0, observables=(peff,))
-        assert np.all(np.diff(ts.columns["var_cv0"]) < 0.0)
-
-    def test_unmeasured_segments_traced_out(self):
-        """Without detection the probed quadrature keeps its variance."""
-        step = coupling_step(0.3)
-        st = vacuum_state(standard_labels(1))
-        out, traj, _ = run_sequence(st, [step] * 50, measure_after_each=False, rng_seed=0)
-        assert out.variance(1) == pytest.approx(0.5, abs=1e-12)
-        # back action still inflates the conjugate quadrature
-        assert out.variance(0) > 0.5
-        # light always left in fresh vacuum
-        assert np.allclose(out.cov[2:, 2:], np.eye(2))
-        assert len(traj.records) == 0
-
-    def test_measurement_records_consistent(self):
-        step = coupling_step(0.3)
-        st = vacuum_state(standard_labels(1))
-        _, traj, _ = run_sequence(st, [step] * 40, rng_seed=9)
-        assert len(traj.records) == 40
-        assert np.all(np.diff(traj.measurement_times) > 0)
-        # outcome = pre-measurement mean + deviation, as recorded; the
-        # deviation is the standard draw scaled by sqrt(bxx)
-        chis = np.array([r.chi for r in traj.records])
-        bxx = []
-        cur = st
-        for _ in range(40):
-            cur = apply_step(cur, step)
-            bxx.append(cur.cov[2, 2])
-            cur, _ = measure_light_x(cur, 0.0)
-        rng = np.random.default_rng(9)
-        z = rng.normal(0.0, math.sqrt(0.5), 40)
-        np.testing.assert_allclose(chis, np.sqrt(bxx) * z, rtol=1e-14, atol=0.0)
-        assert min(bxx) > 1.0
+        cov = st.cov.copy()
+        cov[2, 2] = 0.0
+        bad = GaussianState(st.labels, st.mean, cov)
+        with pytest.raises(DegenerateCovarianceError):
+            measure_light_x(bad, chi=0.0)
 
 
 class TestObservables:

@@ -3,13 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from squeezesim.errors import DegenerateCovarianceError, DivergenceError, InvalidInputError
-from squeezesim.numerics import (
-    integrate_scalar_ode,
-    projected_pseudoinverse,
-    sym_eig_all,
-    sym_eig_min,
-)
+from squeezesim.errors import DivergenceError, InvalidInputError
+from squeezesim.numerics import integrate_scalar_ode, sym_eig_all, sym_eig_min
 
 from oracles import char_poly_min_eig
 
@@ -72,35 +67,6 @@ class TestSymEigMin:
         val, vec = sym_eig_min(np.array([[4.0]]))
         assert val == 4.0
         assert vec[0] == pytest.approx(1.0)
-
-
-class TestProjectedPseudoinverse:
-    def test_diagonal(self):
-        out = projected_pseudoinverse(np.diag([2.0, 5.0]))
-        assert np.allclose(out, np.diag([0.5, 0.0]))
-
-    def test_correlated(self):
-        k = 1.0
-        b = np.array([[1.0 + k * k, k], [k, 1.0]])
-        out = projected_pseudoinverse(b)
-        assert np.allclose(out, np.diag([0.5, 0.0]))
-
-    def test_identity(self):
-        assert np.allclose(projected_pseudoinverse(np.eye(2)), np.diag([1.0, 0.0]))
-
-    def test_penrose_condition(self):
-        rng = np.random.default_rng(3)
-        pi = np.diag([1.0, 0.0])
-        for _ in range(50):
-            g = rng.standard_normal((2, 2))
-            b = g @ g.T + 0.05 * np.eye(2)
-            minv = projected_pseudoinverse(b)
-            proj = pi @ b @ pi
-            assert np.max(np.abs(minv @ proj @ minv - minv)) <= 1e-12 * np.max(np.abs(minv))
-
-    def test_degenerate(self):
-        with pytest.raises(DegenerateCovarianceError):
-            projected_pseudoinverse(np.array([[0.0, 0.0], [0.0, 1.0]]))
 
 
 class TestIntegrateScalarOde:

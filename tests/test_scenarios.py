@@ -24,6 +24,8 @@ from squeezesim.gaussian_core import (
 )
 from squeezesim.physics import CouplingRates
 from squeezesim.scenarios import (
+    BeamSegment,
+    ProbeGroup,
     ProbePhase,
     RotationPhase,
     Scenario,
@@ -36,6 +38,8 @@ from squeezesim.scenarios import (
     run,
     tau_convergence,
 )
+
+from oracles import probe_step_operators, rotation_step_operators
 
 RATES = CouplingRates(kappa_sq=1.83e6, eta=1.7577, epsilon=0.028)
 NOISELESS = CouplingRates(kappa_sq=1.83e6, eta=0.0, epsilon=0.0)
@@ -137,6 +141,22 @@ class TestHomogeneous:
         assert np.allclose(ts.columns["var_p"], 0.5, atol=1e-12)
         assert len(traj.chis) == 0
 
+    def test_unmeasured_segments_traced_out(self):
+        """Back-action still inflates x; the light is left in fresh vacuum."""
+        sc = build_homogeneous(NOISELESS, tau=1e-8, t_end=5e-7,
+                               sample_every=50, measure=False)
+        _, traj = run(sc, seed=0, record_cov=True)
+        cov = traj.cov_samples[-1]
+        assert cov[0, 0] == pytest.approx(1.0 + 50 * 1.83e6 * 1e-8, rel=1e-12)
+        assert cov[1, 1] == 1.0
+        assert np.array_equal(cov[2:, 2:], np.eye(2))
+
+    def test_var_p_monotone_noiseless(self):
+        sc = build_homogeneous(NOISELESS, tau=1e-8, t_end=1e-6, sample_every=1)
+        ts, _ = run(sc, seed=0)
+        assert len(ts.times) == 101
+        assert np.all(np.diff(ts.columns["var_p"]) < 0.0)
+
 
 class TestThinInhomogeneous:
     def test_delta_zero_reduces_to_homogeneous(self):
@@ -193,7 +213,7 @@ class TestThick:
     def test_light_noise_floor_amplified_along_stack(self):
         slices = SliceConfig.split(4, RATES, per_slice_epsilon=0.028)
         sc = build_thick(slices, tau=5e-8, t_end=1e-4)
-        prefs = [g.light_prefactor for g in sc.phases[0].groups]
+        prefs = [1 / g.transmission for g in sc.phases[0].groups]
         expected = [math.exp(0.028 * i) for i in range(4)]
         assert np.allclose(prefs, expected, rtol=1e-12)
 
@@ -260,15 +280,14 @@ class TestRunnerDensePathEquivalence:
         yield done, state
         for phase in sc.phases:
             if isinstance(phase, RotationPhase):
-                (op,) = phase.step_operators(state.dim)
-                state = apply_step(state, op)
+                state = apply_step(state, rotation_step_operators(phase, state.dim))
                 yield done, state
                 continue
             steps = min(phase.n_steps, n_steps_cap)
             if phase.measure:
                 chis = rng.normal(0.0, CHI_STD, phase.n_steps)
             for k in range(steps):
-                for op in phase.step_operators(state.dim, k):
+                for op in probe_step_operators(phase, state.dim, k):
                     state = apply_step(state, op)
                 if phase.measure:
                     bxx = state.cov[-2, -2]
@@ -372,7 +391,7 @@ class TestRunnerDensePathEquivalence:
                              np.array([0.028, 0.01, 0.04]))
         sc = build_thick(slices, tau=1e-8, t_end=n_steps * 1e-8,
                          sample_every=n_steps)
-        assert sc.phases[0].segment.chunk_steps < sc.sample_every // 2
+        assert sc.segments[0].chunk_steps < sc.sample_every // 2
         self._compare_samples(sc, seed=9)
 
     def test_chunk_boundaries_estimation(self):
@@ -531,6 +550,57 @@ class TestDetectionStatistics:
             var_p = var_p / (1.0 + 2.0 * 1.83e6 * 1e-8 * var_p)
         np.testing.assert_allclose(traj.chis, np.sqrt(bxx) * z, rtol=1e-14, atol=0)
 
+    def test_outcomes_are_predicted_readout_plus_deviation(self):
+        """Each outcome is the read-out predicted before its step plus chi."""
+        sc = build_homogeneous(NOISELESS, tau=1e-8, t_end=4e-7, sample_every=1)
+        _, traj = run(sc, seed=9)
+        np.testing.assert_allclose(traj.measurement_times, 1e-8 * np.arange(1, 41),
+                                   rtol=1e-15, atol=0)
+        kappa = math.sqrt(1.83e6 * 1e-8)
+        pre = kappa * np.array([mean[1] for _, mean, _ in traj.samples[:-1]])
+        np.testing.assert_allclose(traj.outcomes - traj.chis, pre, rtol=1e-12,
+                                   atol=1e-14)
+
+
+class TestProbeGroupRefusals:
+    """ProbeGroup and BeamSegment.compose refuse what no slice can be."""
+
+    @pytest.mark.parametrize("over, match", [
+        ({"kappas_sq": [float("nan")]}, "kappas_sq must be finite"),
+        ({"etas": [float("inf")]}, "etas must be finite"),
+        ({"epsilon": float("nan")}, "epsilon must be finite"),
+        ({"transmission": float("inf")}, "transmission must be finite"),
+        ({"kappas_sq": [1e6, 1e6]}, "kappas_sq must have one entry per row"),
+        ({"etas": []}, "etas must have one entry per row"),
+        ({"kappas_sq": [-1e6]}, "kappas_sq entries must be nonnegative"),
+        ({"etas": [-1.0]}, "etas entries must be nonnegative"),
+        ({"epsilon": -0.01}, r"epsilon must lie in \[0, 1\)"),
+        ({"epsilon": 1.0}, r"epsilon must lie in \[0, 1\)"),
+        ({"transmission": 0.0}, r"transmission must lie in \(0, 1\]"),
+        ({"transmission": 1.5}, r"transmission must lie in \(0, 1\]"),
+    ])
+    def test_group_refusals(self, over, match):
+        fields = dict(ax_rows=[0], kappas_sq=[1e6], etas=[1.0], epsilon=0.01,
+                      transmission=0.9)
+        with pytest.raises(InvalidInputError, match=match):
+            ProbeGroup(**{**fields, **over})
+
+    def test_compose_refuses_rows_that_are_not_x_rows(self):
+        with pytest.raises(InvalidInputError, match="not x rows"):
+            BeamSegment.compose((ProbeGroup([1], [1e6], [0.0]),), 4, 1e-8)
+
+    def test_compose_refuses_a_slice_coupled_twice(self):
+        groups = (ProbeGroup([0, 2], [1e6, 1e6], [0.0, 0.0]),
+                  ProbeGroup([2], [1e6], [0.0]))
+        with pytest.raises(InvalidInputError, match="already coupled"):
+            BeamSegment.compose(groups, 4, 1e-8)
+
+    def test_compose_refuses_eta_tau_of_one(self):
+        groups = (ProbeGroup([0], [1e6], [1e8]),)
+        BeamSegment.compose(groups, 2, 0.99e-8)
+        with pytest.raises(InvalidInputError, match=r"eta \* tau must be below 1"):
+            BeamSegment.compose(groups, 2, 1e-8)
+
 
 class TestInputHardening:
     @pytest.mark.parametrize("make", [
@@ -565,7 +635,7 @@ class TestScenarioShape:
         sc = build_homogeneous(RATES, tau=1e-8, t_end=1e-6, sample_every=10)
         sc = Scenario(
             initial_state=sc.initial_state, phases=sc.phases, observables=(),
-            tau=sc.tau, sample_every=sc.sample_every,
+            sample_every=sc.sample_every,
         )
         ts, _ = run(sc, seed=0)
         assert ts.columns == {}
@@ -576,7 +646,7 @@ class TestScenarioShape:
         with pytest.raises(InvalidInputError):
             Scenario(
                 initial_state=sc.initial_state, phases=sc.phases,
-                observables=("var_q",), tau=sc.tau,
+                observables=("var_q",),
             )
 
     def test_probe_phase_step_count(self):
