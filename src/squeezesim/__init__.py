@@ -1,8 +1,9 @@
 """Gaussian-state simulation of spin squeezing and precision angle probing.
 
-Collective atomic spin and probe polarization are tracked as canonical
-Gaussian variables: means plus a covariance matrix, propagated through
-bilinear couplings, loss channels, and measurement conditioning.  Closed
+The collective atomic spin is tracked as canonical Gaussian variables:
+means plus a covariance matrix, propagated through bilinear couplings to
+one probe segment per step, loss channels, and measurement conditioning
+on the detected light.  Closed
 forms for the squeezing curves and estimation limits live in ``analytic``
 and double as oracles for the discrete engine.
 """
@@ -37,17 +38,11 @@ from .errors import (
 )
 from .gaussian_core import (
     GaussianState,
-    StepOperators,
     TimeSeries,
     TrajectoryRecord,
-    apply_step,
-    measure_light_x,
-    squeezing_minimum,
     standard_labels,
     vacuum_state,
-    variance_of,
 )
-from .numerics import integrate_scalar_ode, sym_eig_min
 from .physics import (
     CouplingRates,
     PhysicalParams,
@@ -65,5 +60,4 @@ from .scenarios import (
     build_thick,
     build_thin_inhomogeneous,
     run,
-    tau_convergence,
 )

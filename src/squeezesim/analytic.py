@@ -86,23 +86,6 @@ def var_p_noisy(t, p: SqueezeCurveParams):
     return float(out) if out.ndim == 0 else out
 
 
-def _var_p_noisy_direct(t, p: SqueezeCurveParams):
-    """Literal exponential-ratio evaluation of the noisy variance curve.
-
-    Kept for equivalence testing against the tanh form; prefer
-    var_p_noisy, which is numerically stable at small beta * kappa^2 * t.
-    """
-    t = np.asarray(t, dtype=float)
-    k2 = p.kappa_sq_eff
-    r = p.eta / (2.0 * k2)
-    h = 0.5 * p.beta
-    e = np.exp(-2.0 * p.beta * k2 * t)
-    num = (p.var0 + r + h) + e * (p.var0 + r - h)
-    den = (p.var0 + r + h) - e * (p.var0 + r - h)
-    out = (h * num / den - r) * np.exp(p.eta * t)
-    return float(out) if out.ndim == 0 else out
-
-
 def t_min_exact(p: SqueezeCurveParams) -> float:
     """Time of the conditional-variance minimum, general form."""
     if p.eta <= 0.0:
@@ -155,8 +138,8 @@ class CollectiveVariable:
 
     ``coefficients`` has one entry per atomic variable, ordered
     (x_1, p_1, x_2, p_2, ...).  ``kind`` records how it was built:
-    effective_asymmetric (coupling-weighted), symmetric (equal-weight),
-    eigen (covariance eigenvector), or custom.
+    effective_asymmetric (coupling-weighted), symmetric (equal-weight), or
+    custom.
     """
 
     coefficients: np.ndarray

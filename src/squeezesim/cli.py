@@ -403,8 +403,41 @@ def write_manifest(path: Path, config_echo: dict, outputs: list[dict],
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def _write_outputs(out_dir: Path, manifest: str, curves, notes: dict,
+                   config_echo: dict, t0: float, derived: dict | None = None) -> int:
+    """Write one CSV per (file name, times, columns) of ``curves``, then a
+    manifest listing them; 0 on success.
+
+    ``curves`` is consumed lazily and may run the scenarios behind it;
+    ``notes`` is read only once it is exhausted, so it may fill them in.
+    On a SqueezesimError or OSError every file this call started, a
+    half-written one included, is removed, the error printed and 1
+    returned.
+    """
+    out_dir = Path(out_dir)
+    started: list[Path] = []
+    outputs = []
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, times, columns in curves:
+            path = out_dir / name
+            started.append(path)
+            rows = write_csv(path, times, columns)
+            outputs.append({"path": name, "sha256": _sha256(path), "rows": rows})
+        started.append(out_dir / manifest)
+        write_manifest(out_dir / manifest, config_echo, outputs, notes,
+                       wall_clock=time.perf_counter() - t0, derived=derived)
+        return 0
+    except (OSError, SqueezesimError) as exc:
+        for path in started:
+            if path.is_file():
+                path.unlink()
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
 def _run_to_columns(cfg: RunConfig, sc: scenarios.Scenario):
-    ts, traj = scenarios.run(sc, seed=cfg.seed)
+    ts, _ = scenarios.run(sc, seed=cfg.seed)
     wanted = CSV_COLUMNS[cfg.scenario]
     cols = {}
     for name in wanted:
@@ -412,37 +445,24 @@ def _run_to_columns(cfg: RunConfig, sc: scenarios.Scenario):
             cols[name] = _analytic_var_p(cfg, ts.times)
         elif name in ts.columns:
             cols[name] = ts.columns[name]
-    return ts, traj, cols
+    return ts, cols
 
 
 def run_command(cfg: RunConfig) -> int:
     """Execute one configured scenario; write CSV + manifest; 0 on success."""
     t0 = time.perf_counter()
-    out_dir = cfg.output_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    try:
+    notes: dict = {}
+
+    def curves():
         sc = build_scenario(cfg)
-        ts, _traj, cols = _run_to_columns(cfg, sc)
-        csv_path = out_dir / f"{cfg.scenario}.csv"
-        rows = write_csv(csv_path, ts.times, cols)
-        written.append(csv_path)
-        outputs = [
-            {"path": csv_path.name, "sha256": _sha256(csv_path), "rows": rows}
-        ]
-        manifest_path = out_dir / "manifest.json"
-        write_manifest(
-            manifest_path, cfg.raw, outputs, notes=dict(sc.meta),
-            wall_clock=time.perf_counter() - t0,
-            derived={"kappa_sq": cfg.rates.kappa_sq, "eta": cfg.rates.eta,
-                     "epsilon": cfg.rates.epsilon},
-        )
-        return 0
-    except SqueezesimError as exc:
-        for p in written:
-            p.unlink(missing_ok=True)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        ts, cols = _run_to_columns(cfg, sc)
+        notes.update(sc.meta)
+        yield f"{cfg.scenario}.csv", ts.times, cols
+
+    derived = {"kappa_sq": cfg.rates.kappa_sq, "eta": cfg.rates.eta,
+               "epsilon": cfg.rates.epsilon}
+    return _write_outputs(cfg.output_dir, "manifest.json", curves(), notes,
+                          cfg.raw, t0, derived)
 
 
 def rates_command(cfg: RunConfig) -> int:
@@ -486,16 +506,16 @@ def _figure_curves(fig_id: int, tau: float | None, t_end: float | None):
     """
     rates = physics.CouplingRates(**PRESET_RATES)
     noiseless = physics.CouplingRates(PRESET_RATES["kappa_sq"], 0.0, 0.0)
-    tau = tau or 1e-8
+    tau = 1e-8 if tau is None else tau
+    if t_end is None:
+        t_end = 2e-3 if fig_id == 5 else 3e-3
     if fig_id == 1:
-        t_end = t_end or 3e-3
         for i, (label, r) in enumerate(
             [("no decay", noiseless), ("decay + absorption", rates)]
         ):
             cfg = RunConfig(scenario="homogeneous", rates=r, tau=tau, t_end=t_end)
             yield f"fig1_curve{i + 1}", {"curve": label, "rates": vars(r)}, cfg, None
     elif fig_id == 2:
-        t_end = t_end or 3e-3
         i = 0
         for col in ("min_eig_var", "var_P"):
             for delta in (0.1, 0.5):
@@ -508,7 +528,6 @@ def _figure_curves(fig_id: int, tau: float | None, t_end: float | None):
                         "column": col}
                 yield f"fig2_curve{i}", desc, cfg, (col,)
     elif fig_id == 3:
-        t_end = t_end or 3e-3
         for i, n in enumerate((1, 4, 8, 13, 25, 50)):
             cfg = RunConfig(
                 scenario="thick", rates=rates, tau=tau, t_end=t_end,
@@ -519,7 +538,6 @@ def _figure_curves(fig_id: int, tau: float | None, t_end: float | None):
                     "total_absorption": absorbed, "column": "min_eig_var"}
             yield f"fig3_curve{i + 1}", desc, cfg, ("min_eig_var",)
     elif fig_id == 4:
-        t_end = t_end or 3e-3
         i = 0
         for n in (4, 50):
             for col in ("min_eig_var", "var_P_eff"):
@@ -531,7 +549,6 @@ def _figure_curves(fig_id: int, tau: float | None, t_end: float | None):
                 desc = {"curve": f"{col} at n={n}", "n_slices": n, "column": col}
                 yield f"fig4_curve{i}", desc, cfg, (col,)
     elif fig_id == 5:
-        t_end = t_end or 2e-3
         deltas = (0.0, 0.02, 0.1, 0.2, 0.3, 0.4, 0.5)
         for i, delta in enumerate(deltas):
             cfg = RunConfig(
@@ -598,13 +615,10 @@ def reproduce_figure(
 ) -> int:
     """Write one CSV per curve of a bundled figure, plus a manifest."""
     t0 = time.perf_counter()
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    outputs = []
-    curve_notes = {}
-    run_cache: dict[tuple, tuple] = {}
-    try:
+    notes: dict = {}
+
+    def curves():
+        run_cache: dict[tuple, tuple] = {}
         for name, desc, cfg, cols in _figure_curves(fig_id, tau, t_end):
             if isinstance(cfg, _ReferenceLine):
                 times, data = _fig5_line(cfg)
@@ -614,31 +628,18 @@ def reproduce_figure(
                 if key not in run_cache:
                     sc = build_scenario(cfg)
                     run_cache[key] = _run_to_columns(cfg, sc)
-                ts, _traj, data = run_cache[key]
+                ts, data = run_cache[key]
                 if cols is not None:
                     data = {c: ts.columns[c] for c in cols}
                 times = ts.times
                 desc = dict(desc, **{"tau": cfg.tau, "t_end": cfg.t_end,
                                      "seed": seed})
-            path = out_dir / f"{name}.csv"
-            rows = write_csv(path, times, data)
-            written.append(path)
-            outputs.append({"path": path.name, "sha256": _sha256(path),
-                            "rows": rows})
-            curve_notes[name] = desc
-        write_manifest(
-            out_dir / f"fig{fig_id}_manifest.json",
-            {"figure": fig_id, "tau": tau, "t_end": t_end, "seed": seed},
-            outputs, notes=curve_notes,
-            wall_clock=time.perf_counter() - t0,
-            derived=dict(PRESET_RATES),
-        )
-        return 0
-    except SqueezesimError as exc:
-        for p in written:
-            p.unlink(missing_ok=True)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+            notes[name] = desc
+            yield f"{name}.csv", times, data
+
+    echo = {"figure": fig_id, "tau": tau, "t_end": t_end, "seed": seed}
+    return _write_outputs(out_dir, f"fig{fig_id}_manifest.json", curves(),
+                          notes, echo, t0, dict(PRESET_RATES))
 
 
 def sweep_command(cfg: RunConfig) -> int:
@@ -647,36 +648,35 @@ def sweep_command(cfg: RunConfig) -> int:
     deltas = cfg.sweep.get("deltas", [cfg.delta])
     slice_counts = cfg.sweep.get("n_slices", [cfg.n_slices])
     seeds = cfg.sweep.get("seeds", [cfg.seed])
-    out_dir = cfg.output_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    outputs = []
-    notes = {}
-    try:
+    notes: dict = {}
+
+    def curves():
         for delta in deltas:
             for n in slice_counts:
                 for seed in seeds:
                     sub = RunConfig(**{**vars(cfg), "delta": float(delta),
                                        "n_slices": int(n), "seed": int(seed)})
                     sc = build_scenario(sub)
-                    ts, _traj, cols = _run_to_columns(sub, sc)
+                    ts, cols = _run_to_columns(sub, sc)
                     name = f"sweep_d{delta}_n{n}_s{seed}.csv"
-                    path = out_dir / name
-                    rows = write_csv(path, ts.times, cols)
-                    written.append(path)
-                    outputs.append({"path": name, "sha256": _sha256(path),
-                                    "rows": rows})
                     notes[name] = {"delta": delta, "n_slices": n, "seed": seed}
-        write_manifest(
-            out_dir / "sweep_manifest.json", cfg.raw, outputs, notes,
-            wall_clock=time.perf_counter() - t0,
-        )
-        return 0
-    except SqueezesimError as exc:
-        for p in written:
-            p.unlink(missing_ok=True)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+                    yield name, ts.times, cols
+
+    return _write_outputs(cfg.output_dir, "sweep_manifest.json", curves(),
+                          notes, cfg.raw, t0)
+
+
+def _flag(convert, ok, want: str):
+    """argparse type: ``convert`` the text and refuse a value failing ``ok``."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not (math.isfinite(value) and ok(value)):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {want}")
+        return value
+    return parse
 
 
 def _load_config(path: str) -> RunConfig:
@@ -696,11 +696,13 @@ def main(argv=None) -> int:
     p_fig = sub.add_parser("figure", help="write bundled figure data sets")
     p_fig.add_argument("fig_id", type=int, choices=range(1, 6))
     p_fig.add_argument("--out", default=None, help="output directory")
-    p_fig.add_argument("--tau", type=float, default=None,
-                       help="override the step duration (s)")
-    p_fig.add_argument("--t-end", type=float, default=None,
-                       help="override the probing duration (s)")
-    p_fig.add_argument("--seed", type=int, default=0)
+    p_fig.add_argument("--tau", default=None, help="override the step duration (s)",
+                       type=_flag(float, lambda v: v > 0, "a positive number"))
+    p_fig.add_argument("--t-end", default=None,
+                       help="override the probing duration (s)",
+                       type=_flag(float, lambda v: v >= 0, "a non-negative number"))
+    p_fig.add_argument("--seed", default=0,
+                       type=_flag(int, lambda v: v >= 0, "a non-negative integer"))
 
     p_rates = sub.add_parser("rates", help="print derived rates for a config")
     p_rates.add_argument("--config", required=True)

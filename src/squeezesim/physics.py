@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from .errors import InvalidInputError, OpticallyThickError, require_finite
 
 HBAR = 1.054571817e-34  # J s
-C_LIGHT = 299792458.0  # m / s
+C0 = 299792458.0  # speed of light in vacuum, m / s
 EPSILON_0 = 8.8541878128e-12  # F / m
 
 RATE_FORMS = ("lorentzian", "far_detuned")
@@ -68,7 +68,7 @@ class PhysicalParams:
                 raise InvalidInputError(f"{name} must be positive")
         if self.omega == 0.0:
             object.__setattr__(
-                self, "omega", 2.0 * math.pi * C_LIGHT / self.wavelength
+                self, "omega", 2.0 * math.pi * C0 / self.wavelength
             )
         elif self.omega < 0:
             raise InvalidInputError("omega must be positive")
@@ -107,7 +107,7 @@ def atom_chi(p: PhysicalParams) -> float:
     Named to avoid a clash with the measurement deviation (also
     conventionally written chi) drawn in the Gaussian engine.
     """
-    return p.dipole**2 * p.omega / (p.area * C_LIGHT * EPSILON_0 * HBAR)
+    return p.dipole**2 * p.omega / (p.area * C0 * EPSILON_0 * HBAR)
 
 
 def lorentz_factor(p: PhysicalParams, form: str = "lorentzian") -> float:

@@ -10,17 +10,17 @@ A probe phase holds ProbeGroups, each no more than the slices it couples
 and their rates: the coupling kappa^2 and decay rate eta each slice sees,
 the group's absorption epsilon and the transmission of the beam reaching
 it.  The probe pair is fresh vacuum at the start of every step and spent
-at its end, so the runner never stores it: each probe phase folds its
-groups' rates into one BeamSegment (cached per scenario in
-Scenario.segments), a map of the atomic block followed by a rank-1 Kalman
-update for the detection.  The probe reads only theta and the p rows, and
-the map never couples them to the x rows, so the runner keeps two blocks:
-the read block takes the Kalman update every step, and the unread x block
-advances once per chunk of steps in closed form.  Every scenario runs
+at its end, so neither the state nor the records carry it: each probe
+phase folds its groups' rates into one BeamSegment (cached per scenario
+in Scenario.segments), a map of the atomic block followed by a rank-1
+Kalman update for the detection.  The probe reads only theta and the p
+rows, and the map never couples them to the x rows, so the runner keeps
+two blocks: the read block takes the Kalman update every step, and the
+unread x block advances once per chunk of steps in closed form.  Every scenario runs
 through that one path, so the single-slice homogeneous run and the
 one-slice limit of the sliced (thick) run execute identical arithmetic.
-The tests check it against dense operators built from the same rates with
-the light pair carried explicitly.
+The tests check it against dense operators built from the same rates,
+which carry the light pair explicitly (tests/oracles.py).
 
 Per-step time dependence uses exponential factors frozen at the step start:
 couplings shrink as exp(-eta t / 2) while the mean spin decays, the atomic
@@ -454,8 +454,15 @@ class Scenario:
     def __post_init__(self):
         if self.sample_every < 1:
             raise InvalidInputError("sample_every must be >= 1")
+        n_vars = 2 * self.initial_state.n_pairs
         for obs in self.observables:
-            if isinstance(obs, str) and obs not in NAMED_OBSERVABLES:
+            if isinstance(obs, CollectiveVariable):
+                if obs.coefficients.shape != (n_vars,):
+                    raise InvalidInputError(
+                        f"collective variable has {len(obs.coefficients)} "
+                        f"coefficients, the state has {n_vars} atomic variables"
+                    )
+            elif obs not in NAMED_OBSERVABLES:
                 raise InvalidInputError(
                     f"unknown observable {obs!r}; expected one of "
                     f"{NAMED_OBSERVABLES} or a CollectiveVariable"
@@ -469,20 +476,15 @@ class Scenario:
     def blocks(self) -> tuple:
         """The initial state as the runner splits it, checked once.
 
-        (read covariance, read means, unread covariance, unread means) of
-        the atomic block, the probe pair dropped; see run.  Refuses a probe
-        pair that is not fresh vacuum, a state that correlates the x rows
-        with the p rows or theta, and a rotation other than a shear of p
-        rows by theta: the split cannot represent them.
+        (read covariance, read means, unread covariance, unread means); see
+        run.  Refuses a state that correlates the x rows with the p rows or
+        theta, and a rotation other than a shear of p rows by theta: the
+        split cannot represent them.
         """
         state = self.initial_state
-        dim = state.dim
-        m = dim - 2
-        if not (np.array_equal(state.cov[m:], np.eye(dim)[m:])
-                and not np.any(state.mean[m:])):
-            raise InvalidInputError("the initial probe pair must be fresh vacuum")
+        m = state.dim
         read, unread = _block_rows(m)
-        cov = state.cov[:m, :m]
+        cov = state.cov
         if np.any(cov[read, unread]) or np.any(cov[unread, read]):
             raise InvalidInputError(
                 "the initial state correlates x rows with p rows or theta"
@@ -501,7 +503,7 @@ class Scenario:
     @cached_property
     def segments(self) -> tuple:
         """One BeamSegment per probe phase, None for a rotation."""
-        m = self.initial_state.dim - 2
+        m = self.initial_state.dim
         return tuple(
             BeamSegment.compose(p.groups, m, p.tau, p.t_start)
             if isinstance(p, ProbePhase) else None
@@ -511,11 +513,7 @@ class Scenario:
     @cached_property
     def sampler(self) -> "_Sampler":
         """The observables' evaluator, built once per scenario."""
-        return _Sampler(self, self.initial_state)
-
-    @property
-    def duration(self) -> float:
-        return sum(p.duration for p in self.phases)
+        return _Sampler(self)
 
 
 def _check_validity(kappa_sq_max: float, tau: float):
@@ -532,6 +530,23 @@ def _check_thin_epsilon(epsilon: float):
             f"single-pass absorption {epsilon} is not small; slice the gas "
             "with build_thick instead"
         )
+
+
+def _slice_rates(spread: SpreadSpec, n: int, rates: CouplingRates, tau: float,
+                 eta_mode: str, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Per-slice kappa^2 and eta of a thin sample, its bounds checked.
+
+    ``eta_mode`` "uniform" gives every slice rates.eta; "intensity" scales
+    it with the slice's coupling, eta_i = eta0 * kappa_i^2 / mean(kappa^2).
+    """
+    if eta_mode not in ("intensity", "uniform"):
+        raise InvalidInputError("eta_mode must be 'intensity' or 'uniform'")
+    _check_validity(spread.kappa0_sq, tau)
+    _check_thin_epsilon(rates.epsilon)
+    kappas_sq = spread.slice_kappas_sq(n, rng=rng)
+    if eta_mode == "intensity":
+        return kappas_sq, rates.eta * kappas_sq / float(np.mean(kappas_sq))
+    return kappas_sq, np.full(n, rates.eta)
 
 
 def _thin_groups(
@@ -615,15 +630,7 @@ def build_thin_inhomogeneous(
     eta_i = eta0 * kappa_i^2 / mean(kappa^2), which shifts the squeezing
     floor upward by roughly delta^2/3 in relative terms.
     """
-    if eta_mode not in ("intensity", "uniform"):
-        raise InvalidInputError("eta_mode must be 'intensity' or 'uniform'")
-    _check_validity(spread.kappa0_sq, tau)
-    _check_thin_epsilon(rates.epsilon)
-    kappas_sq = spread.slice_kappas_sq(n, rng=rng)
-    if eta_mode == "intensity":
-        etas = rates.eta * kappas_sq / float(np.mean(kappas_sq))
-    else:
-        etas = np.full(n, rates.eta)
+    kappas_sq, etas = _slice_rates(spread, n, rates, tau, eta_mode, rng)
     state = vacuum_state(standard_labels(n))
     groups = _thin_groups(kappas_sq, etas, rates.epsilon, offset=0)
     phase = ProbePhase(duration=t_end, tau=tau, groups=groups)
@@ -731,13 +738,7 @@ def build_estimation(
                 "base must be CouplingRates, SliceConfig, or "
                 "(SpreadSpec, n, CouplingRates)"
             ) from None
-        _check_validity(spread.kappa0_sq, tau)
-        _check_thin_epsilon(rates.epsilon)
-        kappas_sq = spread.slice_kappas_sq(n, rng=rng)
-        if eta_mode == "intensity":
-            etas = rates.eta * kappas_sq / float(np.mean(kappas_sq))
-        else:
-            etas = np.full(n, rates.eta)
+        kappas_sq, etas = _slice_rates(spread, n, rates, tau, eta_mode, rng)
         groups = _thin_groups(kappas_sq, etas, rates.epsilon, offset=1)
         base_meta = {"base_scenario": "thin_inhomogeneous", "n_slices": n,
                      "delta": spread.delta, "spread_mode": spread.mode,
@@ -754,12 +755,8 @@ def build_estimation(
         alphas = np.full(n, float(est.alpha))
     elif atoms_per_slice:
         probe_etas = np.concatenate([g.etas for g in groups])
-        alphas = np.array(
-            [
-                rotation_coupling(atoms_per_slice, float(probe_etas[i]), est.t1)
-                for i in range(n)
-            ]
-        )
+        alphas = np.array([rotation_coupling(atoms_per_slice, float(eta), est.t1)
+                           for eta in probe_etas])
     else:
         raise InvalidInputError(
             "rotation lever arms undetermined: give alphas/alpha or atoms_per_slice"
@@ -806,9 +803,10 @@ def build_estimation(
 class _Sampler:
     """Computes the requested observables from the working state."""
 
-    def __init__(self, scenario: Scenario, state: GaussianState):
+    def __init__(self, scenario: Scenario):
+        state = scenario.initial_state
         self.obs = scenario.observables
-        self.atom_slice = state.atom_slice
+        self.atom_slice = slice(1 if state.has_theta else 0, None)
         self.n_pairs = state.n_pairs
         n = self.n_pairs
         self.p_rows_local = 2 * np.arange(n) + 1
@@ -830,11 +828,8 @@ class _Sampler:
             eig_val = float(w[i]) / 2.0
             if self.need_vectors:
                 eig_vec = v[:, i]
-        weights = None
-        if kappa_weights is not None and len(kappa_weights):
-            nrm = float(np.linalg.norm(kappa_weights))
-            if nrm > 0:
-                weights = kappa_weights / nrm
+        nrm = float(np.linalg.norm(kappa_weights))
+        weights = kappa_weights / nrm if nrm > 0 else None
         out = []
         for o in self.obs:
             if isinstance(o, CollectiveVariable):
@@ -1006,8 +1001,8 @@ def run(
     drawn measurement deviations.  Every detection deviation is
     chi = sqrt(bxx) * z, with bxx the covariance entry of the detected
     quadrature and z drawn as Normal(0, 1/2) from a PCG64 stream seeded
-    with ``seed``.  Recorded means and covariances keep the full layout,
-    with the probe pair in its fresh vacuum state.
+    with ``seed``.  Recorded means and covariances are those of the
+    initial state's variables, the atomic block with theta when present.
 
     The atomic block is kept as two blocks that no step couples: the read
     block (theta and the p rows) takes the per-step Kalman updates, the
@@ -1016,9 +1011,7 @@ def run(
     initial state must not correlate the two blocks, and a rotation must
     shear p rows by theta (see Scenario.blocks).
     """
-    state = scenario.initial_state
-    dim = state.dim
-    m = dim - 2
+    m = scenario.initial_state.dim
     cov_r, mean_r, cov_u, mean_u = (a.copy() for a in scenario.blocks)
     read, unread = _block_rows(m)
     rng = np.random.default_rng(seed)
@@ -1032,23 +1025,19 @@ def run(
     m_outs: list[np.ndarray] = []
     se = scenario.sample_every
 
-    block = np.zeros((m, m))
-
     def sample(t, kappas):
-        # records keep the full layout, the spent light pair as fresh vacuum
-        block[read, read] = cov_r
-        block[unread, unread] = cov_u
-        full_mean = np.zeros(dim)
-        full_mean[read] = mean_r
-        full_mean[unread] = mean_u
-        r = sampler.row(block, full_mean, kappas if len(kappas) else None)
+        cov = np.zeros((m, m))
+        cov[read, read] = cov_r
+        cov[unread, unread] = cov_u
+        mean = np.empty(m)
+        mean[read] = mean_r
+        mean[unread] = mean_u
+        r = sampler.row(cov, mean, kappas)
         times.append(t)
         rows.append(r)
-        traj.samples.append((t, full_mean, r))
+        traj.samples.append((t, mean, r))
         if record_cov:
-            full_cov = np.eye(dim)
-            full_cov[:m, :m] = block
-            traj.cov_samples.append(full_cov)
+            traj.cov_samples.append(cov)
 
     k = 0
     t = 0.0
@@ -1099,18 +1088,3 @@ def run(
         traj.outcomes = np.concatenate(m_outs)
     cols = {name: np.array([r[i] for r in rows]) for i, name in enumerate(names)}
     return TimeSeries(times=np.array(times), columns=cols), traj
-
-
-def tau_convergence(factory, tau: float, column: str, seed: int = 0) -> float:
-    """Max relative change of a sampled column when tau is halved.
-
-    ``factory(tau, sample_every)`` must build the scenario; the halved run
-    doubles sample_every so both runs sample identical times.
-    """
-    ts_a, _ = run(factory(tau, 1000), seed=seed)
-    ts_b, _ = run(factory(tau / 2.0, 2000), seed=seed)
-    a = ts_a.columns[column]
-    b = ts_b.columns[column]
-    m = min(len(a), len(b))
-    denom = np.maximum(np.abs(b[:m]), 1e-300)
-    return float(np.max(np.abs(a[:m] - b[:m]) / denom))

@@ -7,7 +7,6 @@ from squeezesim.analytic import (
     CollectiveVariable,
     EstimationParams,
     SqueezeCurveParams,
-    _var_p_noisy_direct,
     collective_decomposition,
     dp_min,
     effective_direction,
@@ -27,9 +26,14 @@ from squeezesim.analytic import (
     var_theta_simple,
 )
 from squeezesim.errors import InvalidInputError, NoMinimumError
-from squeezesim.numerics import integrate_scalar_ode
 
-from oracles import gaussian_condition_2d, grid_min, iterate_noiseless_variance
+from oracles import (
+    gaussian_condition_2d,
+    grid_min,
+    integrate_scalar_ode,
+    iterate_noiseless_variance,
+    var_p_noisy_direct,
+)
 
 FIG_PARAMS = SqueezeCurveParams(kappa_sq=1.83e6, eta=1.7577, epsilon=0.028)
 
@@ -69,7 +73,7 @@ class TestVarPNoisy:
     def test_tanh_form_equals_direct_evaluation(self):
         t = np.linspace(1e-5, 5e-3, 80)
         a = var_p_noisy(t, FIG_PARAMS)
-        b = _var_p_noisy_direct(t, FIG_PARAMS)
+        b = var_p_noisy_direct(t, FIG_PARAMS)
         assert np.allclose(a, b, rtol=1e-10)
 
     def test_noisy_at_least_noiseless(self):

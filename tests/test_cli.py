@@ -173,6 +173,13 @@ class TestRunCommand:
         assert manifest["library_version"]
         assert manifest["config"]["scenario"] == "homogeneous"
 
+    def test_unknown_eta_mode_exits_nonzero_without_output(self, tmp_path, capsys):
+        cfg = parse_config(json.dumps({"preset": "fig5", "eta_mode": "bogus",
+                                       "t_end": 1e-4, "output_dir": str(tmp_path)}))
+        assert run_command(cfg) == 1
+        assert "eta_mode" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_estimation_run(self, tmp_path):
         cfg = parse_config(cfg_text(
             scenario="estimation",
@@ -257,6 +264,36 @@ class TestFigures:
             assert len(t) == rows
 
 
+    def test_output_error_removes_every_started_file(self, tmp_path, capsys):
+        """An unwritable curve leaves neither earlier curves nor a manifest."""
+        (tmp_path / "fig1_curve2.csv").mkdir()
+        assert reproduce_figure(1, tmp_path, t_end=1e-5) == 1
+        assert "Is a directory" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["fig1_curve2.csv"]
+        assert (tmp_path / "fig1_curve2.csv").is_dir()
+
+    def test_half_written_file_removed(self, tmp_path, monkeypatch):
+        write_csv = cli.write_csv
+
+        def fail_second(path, times, columns):
+            if path.name == "fig1_curve2.csv":
+                path.write_text("t_seconds,var_p\n0")
+                raise OSError("No space left on device")
+            return write_csv(path, times, columns)
+
+        monkeypatch.setattr(cli, "write_csv", fail_second)
+        assert reproduce_figure(1, tmp_path, t_end=1e-5) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_explicit_zero_t_end_is_used(self, tmp_path):
+        assert reproduce_figure(1, tmp_path, t_end=0.0) == 0
+        for name in ("fig1_curve1.csv", "fig1_curve2.csv"):
+            assert (tmp_path / name).read_text() == "t_seconds,var_p,var_p_analytic\n"
+        manifest = json.loads((tmp_path / "fig1_manifest.json").read_text())
+        assert manifest["config"]["t_end"] == 0.0
+        assert {n["t_end"] for n in manifest["notes"].values()} == {0.0}
+
+
 class TestMain:
     def test_run_roundtrip(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -287,6 +324,29 @@ class TestMain:
         assert main(["sweep", "--config", str(cfg_path)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--seed", "-1"), ("--seed", "1.5"), ("--tau", "0"), ("--tau", "-1e-8"),
+        ("--tau", "nan"), ("--tau", "inf"), ("--t-end", "-1e-5"),
+        ("--t-end", "nan"), ("--t-end", "inf"),
+    ])
+    def test_bad_figure_flag_exit_2_without_output(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["figure", "1", "--out", str(out), f"{flag}={value}"])
+        assert exc.value.code == 2
+        assert f"argument {flag}: {value!r} is not a" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_failure_removes_earlier_files(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(cfg_text(
+            scenario="thin_inhomogeneous", t_end=5e-6,
+            output_dir=str(tmp_path / "sweep"), sweep={"n_slices": [3, 0]},
+        ))
+        assert main(["sweep", "--config", str(cfg_path)]) == 1
+        assert "slice" in capsys.readouterr().err
+        assert list((tmp_path / "sweep").iterdir()) == []
 
     def test_rates_output(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -7,19 +7,34 @@ from squeezesim.analytic import CollectiveVariable
 from squeezesim.errors import DegenerateCovarianceError, InvalidInputError
 from squeezesim.gaussian_core import (
     GaussianState,
-    StepOperators,
     _impulse_inplace,
-    apply_step,
-    measure_light_x,
-    squeezing_minimum,
     standard_labels,
     vacuum_state,
-    variance_of,
 )
+from squeezesim.scenarios import ProbeGroup, ProbePhase, Scenario, run
+
+from oracles import StepOperators, apply_step, measure_light_x, with_light
+
+
+def light_vacuum(n):
+    """Vacuum over n slices with the probe pair the dense path carries."""
+    return with_light(vacuum_state(standard_labels(n)))
+
+
+def probe_once(n, kappa_tau_sq, observables):
+    """Sampled columns of one measured step coupling slice 1 of n vacuum
+    slices at kappa^2 tau = ``kappa_tau_sq`` (0 leaves the state as it is)."""
+    tau = 1e-8
+    group = ProbeGroup([0], [kappa_tau_sq / tau], [0.0])
+    phase = ProbePhase(duration=tau, tau=tau, groups=(group,))
+    sc = Scenario(vacuum_state(standard_labels(n)), (phase,), observables,
+                  sample_every=1)
+    ts, _ = run(sc, seed=0)
+    return ts.columns
 
 
 def coupling_step(kappa_tau, dim=4, loss=None, m=None, n=None,
-                  atom_prefactor=2.0, light_prefactor=1.0, tau=1e-8):
+                  atom_prefactor=2.0, light_prefactor=1.0):
     """Single-pair probe step: x_at += k p_ph, x_ph += k p_at."""
     s = np.eye(dim)
     s[0, dim - 1] = kappa_tau
@@ -31,7 +46,6 @@ def coupling_step(kappa_tau, dim=4, loss=None, m=None, n=None,
         n=np.zeros(dim) if n is None else np.asarray(n, dtype=float),
         atom_prefactor=atom_prefactor,
         light_prefactor=light_prefactor,
-        tau=tau,
     )
 
 
@@ -47,20 +61,21 @@ COUPLED_COV = np.array(
 
 class TestVacuumState:
     def test_single_pair_plus_light(self):
-        st = vacuum_state(standard_labels(1))
+        assert vacuum_state(standard_labels(1)).dim == 2
+        st = light_vacuum(1)
         assert st.dim == 4
         assert np.array_equal(st.cov, np.eye(4))
         assert np.array_equal(st.mean, np.zeros(4))
-        assert st.variance(1) == 0.5
+        assert st.cov[1, 1] / 2.0 == 0.5
 
     def test_ten_slices(self):
         st = vacuum_state(standard_labels(10))
-        assert st.dim == 22
-        assert np.array_equal(st.cov, np.eye(22))
+        assert st.dim == 20
+        assert np.array_equal(st.cov, np.eye(20))
 
     def test_theta_prior(self):
         st = vacuum_state(standard_labels(2, theta=True), theta_var=0.3)
-        assert st.dim == 7
+        assert st.dim == 5
         assert st.cov[0, 0] == pytest.approx(0.6)
         assert st.has_theta
 
@@ -71,19 +86,19 @@ class TestVacuumState:
 
 class TestApplyStep:
     def test_unit_coupling_on_vacuum(self):
-        st = vacuum_state(standard_labels(1))
+        st = light_vacuum(1)
         out = apply_step(st, coupling_step(1.0))
         assert np.allclose(out.cov, COUPLED_COV, atol=1e-15)
         assert np.array_equal(out.mean, np.zeros(4))
 
     def test_zero_coupling_identity(self):
-        st = vacuum_state(standard_labels(1))
+        st = light_vacuum(1)
         out = apply_step(st, coupling_step(0.0))
         assert np.array_equal(out.cov, st.cov)
 
     def test_pure_loss_noise_balance(self):
         eta_tau = 0.1
-        st = vacuum_state(standard_labels(1))
+        st = light_vacuum(1)
         loss = [math.sqrt(1 - eta_tau)] * 2 + [1.0, 1.0]
         m = [eta_tau, eta_tau, 0.0, 0.0]
         out = apply_step(st, coupling_step(0.0, loss=loss, m=m, atom_prefactor=2.0))
@@ -92,13 +107,13 @@ class TestApplyStep:
         assert out.cov[2, 2] == pytest.approx(1.0)
 
     def test_dimension_mismatch(self):
-        st = vacuum_state(standard_labels(2))
+        st = light_vacuum(2)
         with pytest.raises(InvalidInputError):
             apply_step(st, coupling_step(1.0, dim=4))
 
     def test_symplectic_preserves_determinant(self):
         rng = np.random.default_rng(12)
-        st = vacuum_state(standard_labels(1))
+        st = light_vacuum(1)
         st = apply_step(st, coupling_step(0.7))  # non-trivial covariance
         det0 = np.linalg.det(st.cov)
         s = np.eye(4)
@@ -126,47 +141,47 @@ class TestApplyStep:
 
 class TestMeasureLightX:
     def test_uncorrelated_light_changes_nothing(self):
-        st = vacuum_state(standard_labels(1))
+        st = light_vacuum(1)
         out, outcome = measure_light_x(st, chi=0.7)
         assert np.array_equal(out.cov, np.eye(4))
         assert np.array_equal(out.mean, np.zeros(4))
         assert outcome == 0.7
 
     def test_post_step_conditioning(self):
-        st = apply_step(vacuum_state(standard_labels(1)), coupling_step(1.0))
+        st = apply_step(light_vacuum(1), coupling_step(1.0))
         out, _ = measure_light_x(st, chi=0.123)
         assert np.allclose(out.cov[:2, :2], np.diag([2.0, 0.5]), atol=1e-14)
         # conditional variance of p equals 1 / (2 (1 + kappa_tau^2))
-        assert out.variance(1) == pytest.approx(1.0 / (2.0 * (1.0 + 1.0)))
+        assert out.cov[1, 1] / 2.0 == pytest.approx(1.0 / (2.0 * (1.0 + 1.0)))
         # light reset to fresh vacuum
         assert np.allclose(out.cov[2:, 2:], np.eye(2))
         assert np.allclose(out.cov[:2, 2:], 0.0)
 
     def test_mean_shift(self):
-        st = apply_step(vacuum_state(standard_labels(1)), coupling_step(1.0))
+        st = apply_step(light_vacuum(1), coupling_step(1.0))
         out, outcome = measure_light_x(st, chi=1.0)
         assert out.mean[1] == pytest.approx(0.5)
         assert out.mean[0] == pytest.approx(0.0)
         assert outcome - 1.0 == 0.0  # pre-measurement mean of x_ph
 
     def test_covariance_outcome_independent(self):
-        st = apply_step(vacuum_state(standard_labels(1)), coupling_step(0.4))
+        st = apply_step(light_vacuum(1), coupling_step(0.4))
         out1, _ = measure_light_x(st, chi=-2.0)
         out2, _ = measure_light_x(st, chi=0.9)
         assert np.array_equal(out1.cov, out2.cov)
 
     def test_minimum_uncertainty_preserved(self):
         step = coupling_step(0.2)
-        st = vacuum_state(standard_labels(1))
+        st = light_vacuum(1)
         cur = st
         for _ in range(300):
             cur = apply_step(cur, step)
             cur, _ = measure_light_x(cur, chi=0.0)
-            prod = 4.0 * cur.variance(0) * cur.variance(1)
+            prod = 4.0 * (cur.cov[0, 0] / 2.0) * (cur.cov[1, 1] / 2.0)
             assert abs(prod - 1.0) < 1e-9
 
     def test_degenerate_rejected(self):
-        st = vacuum_state(standard_labels(1))
+        st = light_vacuum(1)
         cov = st.cov.copy()
         cov[2, 2] = 0.0
         bad = GaussianState(st.labels, st.mean, cov)
@@ -175,35 +190,47 @@ class TestMeasureLightX:
 
 
 class TestObservables:
+    """Observables as scenarios.run samples them from the atomic block."""
+
     def test_squeezing_minimum_vacuum(self):
-        val, direction = squeezing_minimum(vacuum_state(standard_labels(3)))
-        assert val == pytest.approx(0.5, abs=1e-12)
-        assert direction.kind == "eigen"
+        cols = probe_once(3, 0.0, ("min_eig_var",))
+        assert cols["min_eig_var"] == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_squeezing_minimum_single_pair(self):
-        st = apply_step(vacuum_state(standard_labels(1)), coupling_step(1.0))
-        st, _ = measure_light_x(st, 0.0)
-        val, direction = squeezing_minimum(st)
-        assert val == pytest.approx(0.25)
-        assert abs(direction.coefficients[1]) == pytest.approx(1.0)
+        cols = probe_once(1, 1.0, ("min_eig_var", "min_eig_overlap"))
+        assert cols["min_eig_var"][-1] == pytest.approx(0.25)
+        # the minimum lies along p, the coupling-weighted direction
+        assert cols["min_eig_overlap"][-1] == pytest.approx(1.0)
 
     def test_variance_of_vacuum_isotropic(self):
-        st = vacuum_state(standard_labels(4))
         rng = np.random.default_rng(1)
         c = rng.standard_normal(8)
         v = CollectiveVariable(c / np.linalg.norm(c))
-        assert variance_of(st, v) == pytest.approx(0.5)
+        cols = probe_once(4, 0.0, (v,))
+        assert cols["var_cv0"] == pytest.approx([0.5, 0.5])
 
     def test_variance_of_reads_single_entry(self):
-        st = apply_step(vacuum_state(standard_labels(1)), coupling_step(1.0))
-        st, _ = measure_light_x(st, 0.0)
         v = CollectiveVariable(np.array([0.0, 1.0]))
-        assert variance_of(st, v) == pytest.approx(0.25)
+        cols = probe_once(1, 1.0, (v, "var_p"))
+        assert cols["var_cv0"][-1] == pytest.approx(0.25)
+        assert np.array_equal(cols["var_cv0"], cols["var_p"])
 
     def test_variance_of_dimension_mismatch(self):
-        st = vacuum_state(standard_labels(2))
-        with pytest.raises(InvalidInputError):
-            variance_of(st, CollectiveVariable(np.array([0.0, 1.0])))
+        """A collective variable of the wrong length is refused up front."""
+        v = CollectiveVariable(np.array([0.0, 1.0]))
+        with pytest.raises(InvalidInputError, match="2 coefficients"):
+            Scenario(vacuum_state(standard_labels(2)), (), (v,))
+
+    def test_collective_columns_numbered_in_order(self):
+        x = CollectiveVariable(np.array([1.0, 0.0, 0.0, 0.0]))
+        p_sym = CollectiveVariable(np.array([0.0, 1.0, 0.0, 1.0]) / np.sqrt(2.0))
+        cols = probe_once(2, 0.1, (x, "var_p", p_sym))
+        assert list(cols) == ["var_cv0", "var_p", "var_cv1"]
+        # slice 1 alone is probed: x grows by kappa^2 tau, p = (p1 + p2)/sqrt2
+        # keeps half of the vacuum p2 and half of the squeezed p1
+        assert cols["var_cv0"][-1] == pytest.approx(0.5 * 1.1, rel=1e-12)
+        assert cols["var_cv1"][-1] == pytest.approx(
+            (cols["var_p"][-1] + 0.5) / 2.0, rel=1e-12)
 
 
 class TestStepOperatorsValidation:
@@ -226,10 +253,6 @@ class TestStepOperatorsValidation:
     def test_theta_must_lead(self):
         with pytest.raises(InvalidInputError):
             GaussianState(("atom:1", "theta", "light"), np.zeros(5), np.eye(5))
-
-    def test_light_must_trail(self):
-        with pytest.raises(InvalidInputError):
-            GaussianState(("light", "atom:1"), np.zeros(4), np.eye(4))
 
 
 class TestImpulse:

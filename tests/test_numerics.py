@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 
 from squeezesim.errors import DivergenceError, InvalidInputError
-from squeezesim.numerics import integrate_scalar_ode, sym_eig_all, sym_eig_min
+from squeezesim.numerics import sym_eig_all
 
-from oracles import char_poly_min_eig
+from oracles import char_poly_min_eig, integrate_scalar_ode
+
+
+def sym_eig_min(m):
+    """Smallest eigenvalue and its unit eigenvector, read from sym_eig_all
+    as the runner's min_eig_var and min_eig_overlap read them."""
+    w, v = sym_eig_all(m)
+    return float(w[0]), v[:, 0]
 
 # covariance produced by one noiseless coupled step at unit coupling,
 # ordered (x_at, p_at, x_ph, p_ph)

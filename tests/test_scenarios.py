@@ -13,15 +13,7 @@ from squeezesim.analytic import (
     var_p_noisy,
 )
 from squeezesim.errors import ConfigError, InvalidInputError
-from squeezesim.gaussian_core import (
-    CHI_STD,
-    GaussianState,
-    _traceout_inplace,
-    apply_step,
-    measure_light_x,
-    standard_labels,
-    vacuum_state,
-)
+from squeezesim.gaussian_core import CHI_STD, GaussianState
 from squeezesim.physics import CouplingRates
 from squeezesim.scenarios import (
     BeamSegment,
@@ -36,10 +28,16 @@ from squeezesim.scenarios import (
     build_thick,
     build_thin_inhomogeneous,
     run,
-    tau_convergence,
 )
 
-from oracles import probe_step_operators, rotation_step_operators
+from oracles import (
+    apply_step,
+    measure_light_x,
+    probe_step_operators,
+    rotation_step_operators,
+    trace_out_light,
+    with_light,
+)
 
 RATES = CouplingRates(kappa_sq=1.83e6, eta=1.7577, epsilon=0.028)
 NOISELESS = CouplingRates(kappa_sq=1.83e6, eta=0.0, epsilon=0.0)
@@ -121,8 +119,11 @@ class TestHomogeneous:
         assert len(ts.times) == 1070 // 300 + 1
 
     def test_tau_convergence(self):
-        factory = lambda tau, se: build_homogeneous(RATES, tau, 2e-4, sample_every=se)
-        assert tau_convergence(factory, 2e-8, "var_p") < 1e-3
+        """Halving tau, and sampling the same times, moves var_p by < 1e-3."""
+        ts_a, _ = run(build_homogeneous(RATES, 2e-8, 2e-4, sample_every=1000))
+        ts_b, _ = run(build_homogeneous(RATES, 1e-8, 2e-4, sample_every=2000))
+        a, b = ts_a.columns["var_p"], ts_b.columns["var_p"]
+        assert np.max(np.abs(a - b) / np.abs(b)) < 1e-3
 
     def test_seed_independence_of_variances(self):
         sc = build_homogeneous(RATES, tau=1e-8, t_end=3e-5, sample_every=500)
@@ -142,14 +143,14 @@ class TestHomogeneous:
         assert len(traj.chis) == 0
 
     def test_unmeasured_segments_traced_out(self):
-        """Back-action still inflates x; the light is left in fresh vacuum."""
+        """Back-action still inflates x; the records hold the atoms alone."""
         sc = build_homogeneous(NOISELESS, tau=1e-8, t_end=5e-7,
                                sample_every=50, measure=False)
         _, traj = run(sc, seed=0, record_cov=True)
         cov = traj.cov_samples[-1]
         assert cov[0, 0] == pytest.approx(1.0 + 50 * 1.83e6 * 1e-8, rel=1e-12)
         assert cov[1, 1] == 1.0
-        assert np.array_equal(cov[2:, 2:], np.eye(2))
+        assert cov.shape == (2, 2)
 
     def test_var_p_monotone_noiseless(self):
         sc = build_homogeneous(NOISELESS, tau=1e-8, t_end=1e-6, sample_every=1)
@@ -260,11 +261,35 @@ class TestEstimation:
         spread = np.std(means) / math.sqrt(len(means))
         assert abs(err) < 5 * spread + 1e-4
 
+    def test_unknown_eta_mode_refused(self):
+        est = EstimationParams(t1=1e-5, t2=2e-5, alpha=1.0)
+        base = (SpreadSpec(1.83e6, 0.1), 3, RATES)
+        with pytest.raises(InvalidInputError, match="eta_mode"):
+            build_estimation(base, est, tau=1e-8, t_end=5e-5, eta_mode="bogus")
+        with pytest.raises(InvalidInputError, match="eta_mode"):
+            build_thin_inhomogeneous(base[0], 3, RATES, 1e-8, 5e-5,
+                                     eta_mode="bogus")
+
+    def test_records_hold_the_atomic_block(self):
+        """Recorded covariances are m x m and means m wide, theta included."""
+        est = EstimationParams(t1=1e-7, t2=2e-7, alpha=1.0, theta_true=0.3)
+        sc = build_estimation(RATES, est, tau=1e-8, t_end=5e-7, sample_every=10)
+        m = sc.initial_state.dim
+        assert m == 3
+        ts, traj = run(sc, seed=1, record_cov=True)
+        assert len(traj.cov_samples) == len(traj.samples) == len(ts.times) == 5
+        assert all(cov.shape == (m, m) for cov in traj.cov_samples)
+        assert all(mean.shape == (m,) for _, mean, _ in traj.samples)
+        assert [mean[0] for _, mean, _ in traj.samples] == list(
+            ts.columns["mean_theta"])
+        assert [cov[0, 0] / 2.0 for cov in traj.cov_samples] == list(
+            ts.columns["var_theta"])
+
     def test_thick_base_accepted(self):
         slices = SliceConfig.split(3, RATES)
         est = EstimationParams(t1=1e-5, t2=2e-5, alpha=1.0)
         sc = build_estimation(slices, est, tau=5e-8, t_end=5e-5)
-        assert sc.initial_state.dim == 2 * 3 + 3
+        assert sc.initial_state.dim == 2 * 3 + 1
         ts, _ = run(sc, seed=0)
         assert np.all(np.isfinite(ts.columns["var_theta"]))
 
@@ -273,8 +298,11 @@ class TestRunnerDensePathEquivalence:
     """The in-place kernels must agree with the dense operator algebra."""
 
     def _dense_states(self, sc: Scenario, seed: int, n_steps_cap: int):
-        """(steps done, state) at the start, after every step and rotation."""
-        state = sc.initial_state
+        """(steps done, state) at the start, after every step and rotation.
+
+        The dense states carry the light pair after the atomic block.
+        """
+        state = with_light(sc.initial_state)
         rng = np.random.default_rng(seed)
         done = 0
         yield done, state
@@ -293,9 +321,7 @@ class TestRunnerDensePathEquivalence:
                     bxx = state.cov[-2, -2]
                     state, _ = measure_light_x(state, math.sqrt(bxx) * chis[k])
                 else:
-                    cov, mean = state.cov.copy(), state.mean.copy()
-                    _traceout_inplace(cov, mean)
-                    state = GaussianState(state.labels, mean, cov)
+                    state = trace_out_light(state)
                 done += 1
                 yield done, state
 
@@ -303,6 +329,21 @@ class TestRunnerDensePathEquivalence:
         for _, state in self._dense_states(sc, seed, n_steps_cap):
             pass
         return state
+
+    @staticmethod
+    def _assert_matches(cov, mean, state: GaussianState):
+        """A runner sample against the dense state's atomic block at 1e-12.
+
+        The dense light pair after that block must be fresh vacuum: that is
+        what lets the runner drop it.
+        """
+        m = len(mean)
+        assert np.array_equal(state.cov[m:], np.eye(state.dim)[m:])
+        assert not np.any(state.mean[m:])
+        dense_cov, dense_mean = state.cov[:m, :m], state.mean[:m]
+        assert np.max(np.abs(cov - dense_cov)) < 1e-12 * np.max(np.abs(dense_cov))
+        mean_scale = max(1.0, np.max(np.abs(dense_mean)))
+        assert np.max(np.abs(mean - dense_mean)) < 1e-12 * mean_scale
 
     def _compare_samples(self, sc: Scenario, seed: int):
         """Every sample of the runner against the dense path at 1e-12."""
@@ -314,20 +355,13 @@ class TestRunnerDensePathEquivalence:
         assert len(dense) == len(traj.cov_samples) >= 2
         for state, cov, (_, mean, _) in zip(
                 dense.values(), traj.cov_samples, traj.samples):
-            scale = np.max(np.abs(state.cov))
-            assert np.max(np.abs(cov - state.cov)) <= 1e-12 * scale
-            mean_scale = max(1.0, np.max(np.abs(state.mean)))
-            assert np.max(np.abs(mean - state.mean)) <= 1e-12 * mean_scale
+            self._assert_matches(cov, mean, state)
         return traj
 
     def _compare(self, sc_full, sc_short, seed=7):
-        ts, traj = run(sc_short, seed=seed, record_cov=True)
+        _, traj = run(sc_short, seed=seed, record_cov=True)
         dense = self._dense_run(sc_full, seed, n_steps_cap=sc_short.total_steps)
-        fast_cov = traj.cov_samples[-1]
-        scale = np.max(np.abs(dense.cov))
-        assert np.max(np.abs(fast_cov - dense.cov)) < 1e-12 * scale
-        m = np.array([s[1] for s in traj.samples])[-1]
-        assert np.allclose(m, dense.mean, atol=1e-12)
+        self._assert_matches(traj.cov_samples[-1], traj.samples[-1][1], dense)
 
     def test_homogeneous_noisy(self):
         full = build_homogeneous(RATES, tau=1e-8, t_end=3e-3)
@@ -351,10 +385,9 @@ class TestRunnerDensePathEquivalence:
         est = EstimationParams(t1=6e-8, t2=1e-7, alpha=2.0, var_theta0=0.5,
                                theta_true=0.1)
         sc = build_estimation(RATES, est, tau=1e-8, t_end=2e-7, sample_every=16)
-        ts, traj = run(sc, seed=5, record_cov=True)
+        _, traj = run(sc, seed=5, record_cov=True)
         dense = self._dense_run(sc, 5, n_steps_cap=100)
-        scale = np.max(np.abs(dense.cov))
-        assert np.max(np.abs(traj.cov_samples[-1] - dense.cov)) < 1e-12 * scale
+        self._assert_matches(traj.cov_samples[-1], traj.samples[-1][1], dense)
 
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None,
@@ -364,18 +397,11 @@ class TestRunnerDensePathEquivalence:
         """Thin, thick and estimation runs, measured or not, over a few steps."""
         sc = data.draw(_random_scenarios())
         seed = data.draw(st.integers(0, 2**32 - 1))
-        ts, traj = run(sc, seed=seed, record_cov=True)
+        _, traj = run(sc, seed=seed, record_cov=True)
         dense = self._dense_run(sc, seed, n_steps_cap=10**6)
-        fast_cov = traj.cov_samples[-1]
-        scale = np.max(np.abs(dense.cov))
-        assert np.max(np.abs(fast_cov - dense.cov)) <= 1e-12 * scale
-        fast_mean = traj.samples[-1][1]
-        mean_scale = max(1.0, np.max(np.abs(dense.mean)))
-        assert np.max(np.abs(fast_mean - dense.mean)) <= 1e-12 * mean_scale
-        state = sc.initial_state
-        has_theta = state.has_theta
-        for cov in traj.cov_samples:
-            block = cov[: state.dim - 2, : state.dim - 2]
+        self._assert_matches(traj.cov_samples[-1], traj.samples[-1][1], dense)
+        has_theta = sc.initial_state.has_theta
+        for block in traj.cov_samples:
             assert np.array_equal(block, block.T)
             assert _uncertainty_margin(block, has_theta) >= -1e-12 * np.max(np.abs(block))
 
