@@ -24,7 +24,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -285,7 +285,7 @@ def parse_config(text: str) -> RunConfig:
     )
 
 
-def _estimation_alphas(cfg: RunConfig, kappas_sq: np.ndarray):
+def _estimation_alphas(est_block: dict, kappas_sq: np.ndarray):
     """Resolve rotation lever arms from the estimation config block.
 
     With "alphas_track_coupling" the per-slice lever arm scales with the
@@ -293,20 +293,23 @@ def _estimation_alphas(cfg: RunConfig, kappas_sq: np.ndarray):
     root-mean-square equals the configured alpha; this keeps the collective
     lever arm independent of the spread.
     """
-    est = cfg.estimation
-    if est.get("alphas") is not None:
-        return tuple(float(a) for a in est["alphas"])
-    alpha = est.get("alpha")
+    if est_block.get("alphas") is not None:
+        return tuple(float(a) for a in est_block["alphas"])
+    alpha = est_block.get("alpha")
     if alpha is None:
         return None
-    if est.get("alphas_track_coupling"):
+    if est_block.get("alphas_track_coupling"):
         kap = np.sqrt(kappas_sq)
         return tuple(float(alpha) * kap / math.sqrt(float(np.mean(kappas_sq))))
     return tuple(np.full(len(kappas_sq), float(alpha)))
 
 
 def build_scenario(cfg: RunConfig) -> scenarios.Scenario:
-    """Construct the scenario described by a RunConfig."""
+    """Construct the scenario described by a RunConfig.
+
+    An estimation run wraps the thin inhomogeneous scenario of the same
+    config, whose drawn slice couplings also set the lever arms.
+    """
     if cfg.scenario == "homogeneous":
         return scenarios.build_homogeneous(
             cfg.rates, cfg.tau, cfg.t_end, sample_every=cfg.sample_every
@@ -327,27 +330,17 @@ def build_scenario(cfg: RunConfig) -> scenarios.Scenario:
         return scenarios.build_thick(
             slices, cfg.tau, cfg.t_end, sample_every=cfg.sample_every
         )
+    base = build_scenario(replace(cfg, scenario="thin_inhomogeneous"))
     est_block = cfg.estimation
-    spread = scenarios.SpreadSpec(
-        kappa0_sq=cfg.rates.kappa_sq, delta=cfg.delta, mode=cfg.spread_mode
-    )
-    kappas_sq = spread.slice_kappas_sq(
-        cfg.n_slices, rng=np.random.default_rng(cfg.seed)
-    )
+    kappas_sq = np.asarray(base.meta["slice_kappas_sq"])
     est = EstimationParams(
         t1=float(est_block["t1"]),
         t2=float(est_block["t2"]),
-        alpha=None,
-        alphas=_estimation_alphas(cfg, kappas_sq),
+        alphas=_estimation_alphas(est_block, kappas_sq),
         var_theta0=float(est_block.get("var_theta0", 0.5)),
         theta_true=float(est_block.get("theta_true", 0.0)),
     )
-    base = (spread, cfg.n_slices, cfg.rates)
-    return scenarios.build_estimation(
-        base, est, cfg.tau, cfg.t_end,
-        sample_every=cfg.sample_every, eta_mode=cfg.eta_mode,
-        rng=np.random.default_rng(cfg.seed),
-    )
+    return scenarios.build_estimation(base, est)
 
 
 def _analytic_var_p(cfg: RunConfig, times: np.ndarray) -> np.ndarray:
@@ -410,20 +403,22 @@ def _write_outputs(out_dir: Path, manifest: str, curves, notes: dict,
 
     ``curves`` is consumed lazily and may run the scenarios behind it;
     ``notes`` is read only once it is exhausted, so it may fill them in.
-    On a SqueezesimError or OSError every file this call started, a
-    half-written one included, is removed, the error printed and 1
-    returned.
+    ``out_dir`` is made just before the first file is written, so a run
+    refused before its first output leaves no directory.  On a
+    SqueezesimError or OSError every file this call started, a half-written
+    one included, is removed, the error printed and 1 returned.
     """
     out_dir = Path(out_dir)
     started: list[Path] = []
     outputs = []
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
         for name, times, columns in curves:
+            out_dir.mkdir(parents=True, exist_ok=True)
             path = out_dir / name
             started.append(path)
             rows = write_csv(path, times, columns)
             outputs.append({"path": name, "sha256": _sha256(path), "rows": rows})
+        out_dir.mkdir(parents=True, exist_ok=True)
         started.append(out_dir / manifest)
         write_manifest(out_dir / manifest, config_echo, outputs, notes,
                        wall_clock=time.perf_counter() - t0, derived=derived)
@@ -581,12 +576,7 @@ def _fig5_line(line: _ReferenceLine):
     spread = scenarios.SpreadSpec(kappa0_sq=rates.kappa_sq, delta=line.delta)
     ksq = spread.slice_kappas_sq(10)
     kap = np.sqrt(ksq)
-    alphas = np.asarray(
-        _estimation_alphas(
-            RunConfig(scenario="estimation", rates=rates,
-                      estimation=dict(est)), ksq
-        )
-    )
+    alphas = np.asarray(_estimation_alphas(est, ksq))
     params = SqueezeCurveParams(
         kappa_sq=rates.kappa_sq, eta=rates.eta, epsilon=rates.epsilon
     )
@@ -601,14 +591,6 @@ def _fig5_line(line: _ReferenceLine):
     return times, {"var_theta": np.full_like(times, level)}
 
 
-def _run_key(cfg: RunConfig) -> tuple:
-    """Every RunConfig field that build_scenario and _run_to_columns read."""
-    return (cfg.scenario, cfg.rates, cfg.tau, cfg.t_end, cfg.var0, cfg.seed,
-            cfg.sample_every, cfg.n_slices, cfg.delta, cfg.spread_mode,
-            cfg.eta_mode, cfg.per_slice_epsilon,
-            json.dumps(cfg.estimation, sort_keys=True))
-
-
 def reproduce_figure(
     fig_id: int, out_dir: Path, tau: float | None = None,
     t_end: float | None = None, seed: int = 0,
@@ -618,13 +600,13 @@ def reproduce_figure(
     notes: dict = {}
 
     def curves():
-        run_cache: dict[tuple, tuple] = {}
+        run_cache: dict[str, tuple] = {}
         for name, desc, cfg, cols in _figure_curves(fig_id, tau, t_end):
             if isinstance(cfg, _ReferenceLine):
                 times, data = _fig5_line(cfg)
             else:
                 cfg.seed = seed
-                key = _run_key(cfg)
+                key = repr(cfg)  # every field, so none can be left out
                 if key not in run_cache:
                     sc = build_scenario(cfg)
                     run_cache[key] = _run_to_columns(cfg, sc)

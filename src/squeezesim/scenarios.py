@@ -6,6 +6,11 @@ beam segment at a time (couple, damp, inject noise, detect); a rotation
 phase applies the unknown-angle displacement as a single impulse, since the
 dark interval has no other dynamics.
 
+Three builders turn a sample into slices and one probe phase:
+build_homogeneous, build_thin_inhomogeneous and build_thick.
+build_estimation takes a scenario from any of them and cuts its probe
+phase around the rotation.
+
 A probe phase holds ProbeGroups, each no more than the slices it couples
 and their rates: the coupling kappa^2 and decay rate eta each slice sees,
 the group's absorption epsilon and the transmission of the beam reaching
@@ -31,7 +36,7 @@ sees the beam attenuated by the slices in front of it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -45,6 +50,7 @@ from .errors import (
 )
 from .gaussian_core import (
     CHI_STD,
+    THETA,
     GaussianState,
     TimeSeries,
     TrajectoryRecord,
@@ -123,10 +129,8 @@ class SliceConfig:
     kappas_sq: np.ndarray
     etas: np.ndarray
     epsilons: np.ndarray
-    atoms_per_slice: float = 0.0
 
     def __post_init__(self):
-        require_finite(atoms_per_slice=self.atoms_per_slice)
         if self.n_slices < 1:
             raise InvalidInputError("need at least one slice")
         for name in ("kappas_sq", "etas", "epsilons"):
@@ -150,7 +154,6 @@ class SliceConfig:
         n: int,
         rates: CouplingRates,
         per_slice_epsilon: float | None = None,
-        atoms_per_slice: float = 0.0,
     ):
         """Divide one sample into n equal slices at fixed collective coupling.
 
@@ -166,7 +169,6 @@ class SliceConfig:
             kappas_sq=np.full(n, rates.kappa_sq / n),
             etas=np.full(n, rates.eta),
             epsilons=np.full(n, eps),
-            atoms_per_slice=atoms_per_slice,
         )
 
     def total_absorption(self) -> float:
@@ -550,14 +552,14 @@ def _slice_rates(spread: SpreadSpec, n: int, rates: CouplingRates, tau: float,
 
 
 def _thin_groups(
-    kappas_sq: np.ndarray, etas: np.ndarray, epsilon: float, offset: int
+    kappas_sq: np.ndarray, etas: np.ndarray, epsilon: float
 ) -> tuple[ProbeGroup, ...]:
     """Single group: every slice couples to the beam segment simultaneously."""
-    ax_rows = offset + 2 * np.arange(len(kappas_sq))
+    ax_rows = 2 * np.arange(len(kappas_sq))
     return (ProbeGroup(ax_rows, kappas_sq, etas, epsilon),)
 
 
-def _thick_groups(slices: SliceConfig, offset: int) -> tuple[ProbeGroup, ...]:
+def _thick_groups(slices: SliceConfig) -> tuple[ProbeGroup, ...]:
     """One group per slice, in beam order, with entering-beam attenuation.
 
     Slice i sees the beam attenuated by the slices in front of it: its
@@ -571,7 +573,7 @@ def _thick_groups(slices: SliceConfig, offset: int) -> tuple[ProbeGroup, ...]:
     for i, eps in enumerate(slices.epsilons.tolist()):
         row = slice(i, i + 1)
         groups.append(ProbeGroup(
-            [offset + 2 * i], slices.kappas_sq[row] * transmission,
+            [2 * i], slices.kappas_sq[row] * transmission,
             slices.etas[row] * transmission, eps, transmission,
         ))
         transmission *= math.exp(-eps)
@@ -590,7 +592,7 @@ def build_homogeneous(
     _check_thin_epsilon(rates.epsilon)
     state = vacuum_state(standard_labels(1))
     groups = _thin_groups(
-        np.array([rates.kappa_sq]), np.array([rates.eta]), rates.epsilon, offset=0
+        np.array([rates.kappa_sq]), np.array([rates.eta]), rates.epsilon
     )
     phase = ProbePhase(duration=t_end, tau=tau, groups=groups, measure=measure)
     return Scenario(
@@ -632,7 +634,7 @@ def build_thin_inhomogeneous(
     """
     kappas_sq, etas = _slice_rates(spread, n, rates, tau, eta_mode, rng)
     state = vacuum_state(standard_labels(n))
-    groups = _thin_groups(kappas_sq, etas, rates.epsilon, offset=0)
+    groups = _thin_groups(kappas_sq, etas, rates.epsilon)
     phase = ProbePhase(duration=t_end, tau=tau, groups=groups)
     return Scenario(
         initial_state=state,
@@ -669,7 +671,7 @@ def build_thick(
     """
     _check_validity(float(np.max(slices.kappas_sq)), tau)
     state = vacuum_state(standard_labels(slices.n_slices))
-    groups = _thick_groups(slices, offset=0)
+    groups = _thick_groups(slices)
     phase = ProbePhase(duration=t_end, tau=tau, groups=groups)
     return Scenario(
         initial_state=state,
@@ -690,63 +692,29 @@ def build_thick(
 
 
 def build_estimation(
-    base,
-    est: EstimationParams,
-    tau: float,
-    t_end: float,
-    sample_every: int = 500,
-    eta_mode: str = "uniform",
-    atoms_per_slice: float | None = None,
-    rng=None,
+    base: Scenario, est: EstimationParams, atoms_per_slice: float | None = None
 ) -> Scenario:
     """Squeeze, rotate by an unknown angle, then probe the angle.
 
-    ``base`` selects the probing configuration: CouplingRates for a single
-    homogeneous sample, (SpreadSpec, n, CouplingRates) for a thin
-    inhomogeneous sample, or a SliceConfig for a thick stack.  The angle is
+    ``base`` is a squeezing scenario from build_homogeneous,
+    build_thin_inhomogeneous or build_thick; its single probe phase is cut
+    at t1 and t2 around the rotation, and its tau, measure flag, sampling
+    and meta carry over ("scenario" becomes "base_scenario").  The angle is
     adjoined as a leading variable with prior variance est.var_theta0 and
     mean est.theta_true; probing for t > t2 resumes with the couplings and
-    noise floors the squeezing phase reached at t1.
+    noise floors the squeezing phase reached at t1.  Lever arms come from
+    est.alphas or est.alpha, else from ``atoms_per_slice`` and each slice's
+    decay rate inside the sample.
     """
-    if est.t2 < est.t1:
-        raise InvalidInputError("t2 must not precede t1")
-    if t_end <= est.t2:
-        raise InvalidInputError("t_end must exceed t2")
-
-    if isinstance(base, CouplingRates):
-        _check_validity(base.kappa_sq, tau)
-        _check_thin_epsilon(base.epsilon)
-        n = 1
-        groups = _thin_groups(
-            np.array([base.kappa_sq]), np.array([base.eta]), base.epsilon, offset=1
+    state0 = base.initial_state
+    phase = base.phases[0] if len(base.phases) == 1 else None
+    if state0.has_theta or not isinstance(phase, ProbePhase):
+        raise InvalidInputError(
+            "base must be a squeezing scenario: one probe phase, no theta"
         )
-        base_meta = {"base_scenario": "homogeneous", "kappa_sq": base.kappa_sq,
-                     "eta": base.eta, "epsilon": base.epsilon}
-    elif isinstance(base, SliceConfig):
-        _check_validity(float(np.max(base.kappas_sq)), tau)
-        n = base.n_slices
-        groups = _thick_groups(base, offset=1)
-        base_meta = {"base_scenario": "thick", "n_slices": n,
-                     "slice_epsilons": base.epsilons.tolist()}
-        if atoms_per_slice is None and base.atoms_per_slice:
-            atoms_per_slice = base.atoms_per_slice
-    else:
-        try:
-            spread, n, rates = base
-        except (TypeError, ValueError):
-            raise InvalidInputError(
-                "base must be CouplingRates, SliceConfig, or "
-                "(SpreadSpec, n, CouplingRates)"
-            ) from None
-        kappas_sq, etas = _slice_rates(spread, n, rates, tau, eta_mode, rng)
-        groups = _thin_groups(kappas_sq, etas, rates.epsilon, offset=1)
-        base_meta = {"base_scenario": "thin_inhomogeneous", "n_slices": n,
-                     "delta": spread.delta, "spread_mode": spread.mode,
-                     "kappa0_sq": spread.kappa0_sq, "eta_mode": eta_mode,
-                     "slice_kappas_sq": kappas_sq.tolist(),
-                     "slice_etas": etas.tolist(), "epsilon": rates.epsilon}
-
-    # effective decay rates inside the stack, for the lever-arm default
+    if phase.duration <= est.t2:
+        raise InvalidInputError("t_end must exceed t2")
+    n = state0.n_pairs
     if est.alphas is not None:
         alphas = np.asarray(est.alphas, dtype=float)
         if alphas.shape != (n,):
@@ -754,7 +722,7 @@ def build_estimation(
     elif est.alpha is not None:
         alphas = np.full(n, float(est.alpha))
     elif atoms_per_slice:
-        probe_etas = np.concatenate([g.etas for g in groups])
+        probe_etas = np.concatenate([g.etas for g in phase.groups])
         alphas = np.array([rotation_coupling(atoms_per_slice, float(eta), est.t1)
                            for eta in probe_etas])
     else:
@@ -762,26 +730,27 @@ def build_estimation(
             "rotation lever arms undetermined: give alphas/alpha or atoms_per_slice"
         )
 
-    state = vacuum_state(standard_labels(n, theta=True), est.var_theta0)
-    mean = state.mean.copy()
-    mean[0] = est.theta_true
-    state = GaussianState(state.labels, mean, state.cov)
-    squeeze = ProbePhase(duration=est.t1, tau=tau, groups=groups)
+    m = state0.dim + 1
+    cov = np.zeros((m, m))
+    cov[0, 0] = 2.0 * est.var_theta0
+    cov[1:, 1:] = state0.cov
+    state = GaussianState((THETA,) + state0.labels,
+                          np.concatenate(([est.theta_true], state0.mean)), cov)
+    groups = tuple(replace(g, ax_rows=g.ax_rows + 1) for g in phase.groups)
+    squeeze = replace(phase, duration=est.t1, groups=groups)
     rotation = RotationPhase(
         duration=est.t2 - est.t1,
         targets=2 + 2 * np.arange(n),
         alphas=alphas,
     )
-    probe = ProbePhase(duration=t_end - est.t2, tau=tau, groups=groups,
-                       t_start=est.t1)
-    meta = dict(base_meta)
+    probe = replace(squeeze, duration=phase.duration - est.t2, t_start=est.t1)
+    meta = dict(base.meta)
+    meta["base_scenario"] = meta.pop("scenario", None)
     meta.update(
         {
             "scenario": "estimation",
             "t1": est.t1,
             "t2": est.t2,
-            "t_end": t_end,
-            "tau": tau,
             "var_theta0": est.var_theta0,
             "theta_true": est.theta_true,
             "alphas": alphas.tolist(),
@@ -791,7 +760,7 @@ def build_estimation(
         initial_state=state,
         phases=(squeeze, rotation, probe),
         observables=("var_theta", "mean_theta", "var_P_eff"),
-        sample_every=sample_every,
+        sample_every=base.sample_every,
         meta=meta,
     )
 

@@ -218,8 +218,8 @@ def test_criterion_7_estimation():
     """Squeeze / rotate / probe protocol against its conditioning limits."""
     # (a) single sample, noiseless: full posterior curve
     est = EstimationParams(t1=2e-4, t2=2.5e-4, alpha=30.0, var_theta0=0.5)
-    sc = sq.build_estimation(NOISELESS, est, tau=TAU, t_end=4.5e-4,
-                             sample_every=200)
+    sc = sq.build_estimation(
+        sq.build_homogeneous(NOISELESS, tau=TAU, t_end=4.5e-4, sample_every=200), est)
     ts, _ = sq.run(sc, seed=0)
     vp1 = var_p_noiseless(est.t1, KAPPA_SQ)
     cov_t2 = rotated_covariance(est.var_theta0, 0.25 / vp1, vp1, est.alpha)
@@ -230,8 +230,9 @@ def test_criterion_7_estimation():
 
     # (b) long-time limit
     est_b = EstimationParams(t1=2e-5, t2=3e-5, alpha=3.0, var_theta0=0.5)
-    sc_b = sq.build_estimation(NOISELESS, est_b, tau=5e-8, t_end=5e-3,
-                               sample_every=5000)
+    sc_b = sq.build_estimation(
+        sq.build_homogeneous(NOISELESS, tau=5e-8, t_end=5e-3, sample_every=5000),
+        est_b)
     ts_b, _ = sq.run(sc_b, seed=0)
     vp1_b = var_p_noiseless(est_b.t1, KAPPA_SQ)
     limit = var_theta_limit(vp1_b, est_b.alpha, est_b.var_theta0)
@@ -257,8 +258,9 @@ def test_criterion_7_estimation():
         alphas = 0.2236 * kap / math.sqrt(float(np.mean(ksq)))
         est_c = EstimationParams(t1=t1, t2=t2, alphas=tuple(alphas),
                                  var_theta0=var_theta0)
-        sc_c = sq.build_estimation((spread, 10, NOISELESS), est_c, tau=TAU,
-                                   t_end=t_end, sample_every=2000)
+        base_c = sq.build_thin_inhomogeneous(spread, 10, NOISELESS, tau=TAU,
+                                             t_end=t_end, sample_every=2000)
+        sc_c = sq.build_estimation(base_c, est_c)
         ts_c, _ = sq.run(sc_c, seed=0)
         curves.append(ts_c.columns["var_theta"])
         eq_eff = var_theta_inhom(vp1_c, kap, alphas)
@@ -279,10 +281,9 @@ def test_criterion_7_estimation():
     # (d) precision gain from pre-squeezing
     est_s = EstimationParams(t1=2e-5, t2=3e-5, alpha=30.0, var_theta0=0.5)
     est_ns = EstimationParams(t1=0.0, t2=1e-5, alpha=30.0, var_theta0=0.5)
-    ts_s, _ = sq.run(sq.build_estimation(NOISELESS, est_s, tau=5e-8,
-                                         t_end=4e-3, sample_every=5000), seed=0)
-    ts_ns, _ = sq.run(sq.build_estimation(NOISELESS, est_ns, tau=5e-8,
-                                          t_end=4e-3, sample_every=5000), seed=0)
+    base_d = sq.build_homogeneous(NOISELESS, tau=5e-8, t_end=4e-3, sample_every=5000)
+    ts_s, _ = sq.run(sq.build_estimation(base_d, est_s), seed=0)
+    ts_ns, _ = sq.run(sq.build_estimation(base_d, est_ns), seed=0)
     ns_limit = var_theta_limit(0.5, est_ns.alpha, est_ns.var_theta0)
     ns_err = abs(ts_ns.columns["var_theta"][-1] - ns_limit) / ns_limit
     assert ns_err < 0.01, f"unsqueezed limit off by {ns_err:.2%}"

@@ -180,6 +180,14 @@ class TestRunCommand:
         assert "eta_mode" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_random_spread_lever_arms_follow_the_drawn_couplings(self):
+        cfg = parse_config(json.dumps({"preset": "fig5", "spread_mode": "random",
+                                       "delta": 0.3, "seed": 7, "t_end": 1e-4}))
+        meta = cli.build_scenario(cfg).meta
+        assert meta["spread_mode"] == "random"
+        ratios = np.array(meta["alphas"]) / np.sqrt(meta["slice_kappas_sq"])
+        assert np.allclose(ratios, ratios[0], rtol=1e-12, atol=0.0)
+
     def test_estimation_run(self, tmp_path):
         cfg = parse_config(cfg_text(
             scenario="estimation",
@@ -263,6 +271,22 @@ class TestFigures:
                               names=True)["t_seconds"]
             assert len(t) == rows
 
+    @pytest.mark.parametrize("fig_id, tau, t_end", [(2, 2e-8, 4e-5),
+                                                    (4, 5e-8, 2e-5)])
+    def test_curves_sharing_a_run_run_once(self, tmp_path, monkeypatch,
+                                           fig_id, tau, t_end):
+        calls = []
+        run = cli.scenarios.run
+
+        def spy(sc, **kw):
+            calls.append(sc)
+            return run(sc, **kw)
+
+        monkeypatch.setattr(cli.scenarios, "run", spy)
+        assert reproduce_figure(fig_id, tmp_path, tau=tau, t_end=t_end) == 0
+        assert len(list(tmp_path.glob("*.csv"))) == 4
+        assert len(calls) == 2
+
 
     def test_output_error_removes_every_started_file(self, tmp_path, capsys):
         """An unwritable curve leaves neither earlier curves nor a manifest."""
@@ -336,6 +360,21 @@ class TestMain:
             main(["figure", "1", "--out", str(out), f"{flag}={value}"])
         assert exc.value.code == 2
         assert f"argument {flag}: {value!r} is not a" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("over", [
+        {"preset": "fig1", "tau": -1e-8},
+        {"preset": "fig1", "sample_every": 0},
+        {"preset": "fig2", "n_slices": 0},
+        {"preset": "fig5", "estimation": {"t1": 4e-5, "t2": 3e-5}},
+    ], ids=["negative_tau", "zero_sample_every", "zero_slices", "t1_after_t2"])
+    def test_refused_run_leaves_no_output_dir(self, tmp_path, capsys, over):
+        out = tmp_path / "out"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**over, "t_end": 1e-4,
+                                        "output_dir": str(out)}))
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        assert "error" in capsys.readouterr().err
         assert not out.exists()
 
     def test_sweep_failure_removes_earlier_files(self, tmp_path, capsys):

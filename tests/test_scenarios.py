@@ -234,25 +234,27 @@ class TestThick:
 class TestEstimation:
     def test_zero_lever_keeps_prior(self):
         est = EstimationParams(t1=1e-5, t2=2e-5, alpha=0.0, var_theta0=0.5)
-        sc = build_estimation(NOISELESS, est, tau=1e-8, t_end=5e-5, sample_every=500)
+        sc = build_estimation(
+            build_homogeneous(NOISELESS, tau=1e-8, t_end=5e-5, sample_every=500), est)
         ts, _ = run(sc, seed=0)
         assert np.allclose(ts.columns["var_theta"], 0.5, atol=1e-12)
 
     def test_alphas_from_atom_number(self):
         est = EstimationParams(t1=1e-5, t2=2e-5, var_theta0=0.5)
-        sc = build_estimation(NOISELESS, est, tau=1e-8, t_end=5e-5,
-                              atoms_per_slice=2e12)
+        base = build_homogeneous(NOISELESS, tau=1e-8, t_end=5e-5, sample_every=500)
+        sc = build_estimation(base, est, atoms_per_slice=2e12)
         assert sc.meta["alphas"] == [pytest.approx(math.sqrt(1e12))]
 
     def test_lever_required(self):
         est = EstimationParams(t1=1e-5, t2=2e-5)
         with pytest.raises(InvalidInputError):
-            build_estimation(NOISELESS, est, tau=1e-8, t_end=5e-5)
+            build_estimation(build_homogeneous(NOISELESS, tau=1e-8, t_end=5e-5), est)
 
     def test_theta_mean_tracks_truth(self):
         est = EstimationParams(t1=1e-5, t2=2e-5, alpha=40.0, var_theta0=0.5,
                                theta_true=0.05)
-        sc = build_estimation(NOISELESS, est, tau=1e-8, t_end=1.2e-4, sample_every=2000)
+        sc = build_estimation(
+            build_homogeneous(NOISELESS, tau=1e-8, t_end=1.2e-4, sample_every=2000), est)
         means = []
         for seed in range(12):
             ts, _ = run(sc, seed=seed)
@@ -262,18 +264,15 @@ class TestEstimation:
         assert abs(err) < 5 * spread + 1e-4
 
     def test_unknown_eta_mode_refused(self):
-        est = EstimationParams(t1=1e-5, t2=2e-5, alpha=1.0)
-        base = (SpreadSpec(1.83e6, 0.1), 3, RATES)
         with pytest.raises(InvalidInputError, match="eta_mode"):
-            build_estimation(base, est, tau=1e-8, t_end=5e-5, eta_mode="bogus")
-        with pytest.raises(InvalidInputError, match="eta_mode"):
-            build_thin_inhomogeneous(base[0], 3, RATES, 1e-8, 5e-5,
+            build_thin_inhomogeneous(SpreadSpec(1.83e6, 0.1), 3, RATES, 1e-8, 5e-5,
                                      eta_mode="bogus")
 
     def test_records_hold_the_atomic_block(self):
         """Recorded covariances are m x m and means m wide, theta included."""
         est = EstimationParams(t1=1e-7, t2=2e-7, alpha=1.0, theta_true=0.3)
-        sc = build_estimation(RATES, est, tau=1e-8, t_end=5e-7, sample_every=10)
+        sc = build_estimation(
+            build_homogeneous(RATES, tau=1e-8, t_end=5e-7, sample_every=10), est)
         m = sc.initial_state.dim
         assert m == 3
         ts, traj = run(sc, seed=1, record_cov=True)
@@ -288,10 +287,61 @@ class TestEstimation:
     def test_thick_base_accepted(self):
         slices = SliceConfig.split(3, RATES)
         est = EstimationParams(t1=1e-5, t2=2e-5, alpha=1.0)
-        sc = build_estimation(slices, est, tau=5e-8, t_end=5e-5)
+        sc = build_estimation(
+            build_thick(slices, tau=5e-8, t_end=5e-5, sample_every=500), est)
         assert sc.initial_state.dim == 2 * 3 + 1
         ts, _ = run(sc, seed=0)
         assert np.all(np.isfinite(ts.columns["var_theta"]))
+
+    @pytest.mark.parametrize("base", [
+        build_homogeneous(RATES, tau=2e-8, t_end=6e-5, sample_every=70,
+                          measure=False),
+        build_thin_inhomogeneous(SpreadSpec(1.83e6, 0.2), 3, RATES, tau=2e-8,
+                                 t_end=6e-5, sample_every=70),
+        build_thick(SliceConfig.split(3, RATES), tau=2e-8, t_end=6e-5,
+                    sample_every=70),
+    ], ids=["homogeneous", "thin", "thick"])
+    def test_keeps_the_base_plan(self, base):
+        """tau, measure flag, duration, sampling and meta come from the base."""
+        est = EstimationParams(t1=2e-5, t2=3e-5, alpha=1.0, theta_true=0.1)
+        sc = build_estimation(base, est)
+        phase = base.phases[0]
+        squeeze, rotation, probe = sc.phases
+        assert (squeeze.duration, rotation.duration, probe.duration) == (
+            est.t1, est.t2 - est.t1, phase.duration - est.t2)
+        assert squeeze.tau == probe.tau == phase.tau
+        assert squeeze.measure == probe.measure == phase.measure
+        assert (squeeze.t_start, probe.t_start) == (0.0, est.t1)
+        assert sc.sample_every == base.sample_every
+        assert sc.meta["scenario"] == "estimation"
+        assert sc.meta["base_scenario"] == base.meta["scenario"]
+        assert all(sc.meta[k] == v for k, v in base.meta.items() if k != "scenario")
+        state = sc.initial_state
+        assert state.labels == ("theta",) + base.initial_state.labels
+        assert state.mean[0] == est.theta_true
+        assert state.cov[0, 0] == 2.0 * est.var_theta0
+        assert np.array_equal(state.cov[1:, 1:], base.initial_state.cov)
+
+    def test_intensity_etas_reach_both_probe_phases(self):
+        base = build_thin_inhomogeneous(SpreadSpec(1.83e6, 0.3), 4, RATES,
+                                        tau=1e-8, t_end=5e-5, eta_mode="intensity")
+        etas = base.phases[0].groups[0].etas
+        assert len(set(etas.tolist())) == 4
+        est = EstimationParams(t1=1e-5, t2=2e-5, alpha=1.0)
+        squeeze, _, probe = build_estimation(base, est).phases
+        for phase in (squeeze, probe):
+            (group,) = phase.groups
+            assert np.array_equal(group.etas, etas)
+            assert np.array_equal(group.ax_rows, 1 + 2 * np.arange(4))
+
+    def test_theta_led_or_multi_phase_base_refused(self):
+        est = EstimationParams(t1=1e-5, t2=2e-5, alpha=1.0)
+        base = build_homogeneous(RATES, tau=1e-8, t_end=5e-5)
+        wrapped = build_estimation(base, est)
+        for bad in (wrapped, dataclasses.replace(wrapped, phases=wrapped.phases[:1]),
+                    dataclasses.replace(base, phases=base.phases * 2)):
+            with pytest.raises(InvalidInputError, match="one probe phase, no theta"):
+                build_estimation(bad, est)
 
 
 class TestRunnerDensePathEquivalence:
@@ -384,7 +434,8 @@ class TestRunnerDensePathEquivalence:
     def test_estimation_all_phases(self):
         est = EstimationParams(t1=6e-8, t2=1e-7, alpha=2.0, var_theta0=0.5,
                                theta_true=0.1)
-        sc = build_estimation(RATES, est, tau=1e-8, t_end=2e-7, sample_every=16)
+        sc = build_estimation(
+            build_homogeneous(RATES, tau=1e-8, t_end=2e-7, sample_every=16), est)
         _, traj = run(sc, seed=5, record_cov=True)
         dense = self._dense_run(sc, 5, n_steps_cap=100)
         self._assert_matches(traj.cov_samples[-1], traj.samples[-1][1], dense)
@@ -426,8 +477,8 @@ class TestRunnerDensePathEquivalence:
                              np.array([0.02, 0.03]))
         est = EstimationParams(t1=1300e-8, t2=1305e-8, alphas=(1.5, 0.7),
                                var_theta0=0.5, theta_true=0.2)
-        sc = build_estimation(slices, est, tau=1e-8, t_end=3005e-8,
-                              sample_every=1500)
+        sc = build_estimation(
+            build_thick(slices, tau=1e-8, t_end=3005e-8, sample_every=1500), est)
         assert sc.total_steps == 3000
         self._compare_samples(sc, seed=2)
 
@@ -435,8 +486,9 @@ class TestRunnerDensePathEquivalence:
         """A prior correlating theta with the p rows stays exactly symmetric."""
         est = EstimationParams(t1=5e-8, t2=6e-8, alphas=(2.0, -1.0),
                                var_theta0=0.5, theta_true=0.1)
-        sc = build_estimation((SpreadSpec(1.83e6, 0.3), 2, RATES), est,
-                              tau=1e-8, t_end=1e-7, sample_every=3)
+        base = build_thin_inhomogeneous(SpreadSpec(1.83e6, 0.3), 2, RATES,
+                                        tau=1e-8, t_end=1e-7, sample_every=3)
+        sc = build_estimation(base, est)
         cov = sc.initial_state.cov.copy()
         cov[0, 2] = cov[2, 0] = 0.3
         cov[0, 4] = cov[4, 0] = -0.2
@@ -460,7 +512,8 @@ class TestBlockSplitRefusals:
 
     def test_rotation_target_outside_read_block(self):
         est = EstimationParams(t1=5e-8, t2=6e-8, alpha=1.0)
-        sc = build_estimation(RATES, est, tau=1e-8, t_end=1e-7)
+        sc = build_estimation(
+            build_homogeneous(RATES, tau=1e-8, t_end=1e-7, sample_every=500), est)
         squeeze, rotation, probe = sc.phases
         x_row = dataclasses.replace(rotation, targets=np.array([1]))
         with pytest.raises(InvalidInputError, match="rotation"):
@@ -517,10 +570,8 @@ def _random_scenarios(draw):
         slices = SliceConfig(n, kappas_sq, etas, epsilons)
         sc = build_thick(slices, TAU_PROP, n_steps * TAU_PROP, sample_every=n_steps)
     else:
-        slices = SliceConfig(n, kappas_sq, etas, epsilons)
-        base = slices if draw(st.booleans()) else CouplingRates(
-            float(kappas_sq[0]), float(etas[0]), float(epsilons[0]))
-        n_base = n if isinstance(base, SliceConfig) else 1
+        thick = draw(st.booleans())
+        n_base = n if thick else 1
         t1 = draw(st.integers(0, 3)) * TAU_PROP
         t2 = t1 + draw(st.integers(0, 3)) * TAU_PROP
         est = EstimationParams(
@@ -529,8 +580,15 @@ def _random_scenarios(draw):
                                        max_size=n_base))),
             theta_true=draw(st.floats(-1.0, 1.0)),
         )
-        sc = build_estimation(base, est, TAU_PROP, t2 + n_steps * TAU_PROP,
-                              sample_every=10**6)
+        t_end = t2 + n_steps * TAU_PROP
+        if thick:
+            base = build_thick(SliceConfig(n, kappas_sq, etas, epsilons), TAU_PROP,
+                               t_end, sample_every=10**6)
+        else:
+            base = build_homogeneous(
+                CouplingRates(float(kappas_sq[0]), float(etas[0]), float(epsilons[0])),
+                TAU_PROP, t_end, sample_every=10**6)
+        sc = build_estimation(base, est)
         sc = dataclasses.replace(sc, sample_every=max(sc.total_steps, 1))
     if not measure:
         phases = tuple(
