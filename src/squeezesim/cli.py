@@ -107,7 +107,6 @@ _SCHEMA = {
     },
     "tau": float,
     "t_end": float,
-    "var0": float,
     "seed": _Seed,
     "sample_every": int,
     "n_slices": int,
@@ -141,7 +140,6 @@ class RunConfig:
     rates: physics.CouplingRates
     tau: float = 1e-8
     t_end: float = 3e-3
-    var0: float = 0.5
     seed: int = 0
     sample_every: int = 1000
     n_slices: int = 10
@@ -270,7 +268,6 @@ def parse_config(text: str) -> RunConfig:
         physical=physical,
         tau=float(tree.get("tau", 1e-8)),
         t_end=float(tree.get("t_end", 3e-3)),
-        var0=float(tree.get("var0", 0.5)),
         seed=int(tree.get("seed", 0)),
         sample_every=int(tree.get("sample_every", 1000)),
         n_slices=int(tree.get("n_slices", 10)),
@@ -347,10 +344,8 @@ def _analytic_var_p(cfg: RunConfig, times: np.ndarray) -> np.ndarray:
     """Closed-form squeezing curve matching the configured rates."""
     r = cfg.rates
     if r.eta == 0.0 and r.epsilon == 0.0:
-        return analytic.var_p_noiseless(times, r.kappa_sq, cfg.var0)
-    params = SqueezeCurveParams(
-        kappa_sq=r.kappa_sq, eta=r.eta, epsilon=r.epsilon, var0=cfg.var0
-    )
+        return analytic.var_p_noiseless(times, r.kappa_sq)
+    params = SqueezeCurveParams(kappa_sq=r.kappa_sq, eta=r.eta, epsilon=r.epsilon)
     return analytic.var_p_noisy(times, params)
 
 

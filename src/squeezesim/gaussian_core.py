@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require_finite
 
 #: Standard deviation of the standard draw z (variance 1/2); a detection
 #: deviation is chi = sqrt(bxx) * z.
@@ -67,6 +67,7 @@ class GaussianState:
                 f"mean/cov shapes {mean.shape}/{cov.shape} do not match "
                 f"{dim} variables"
             )
+        require_finite(mean=mean, cov=cov)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 

@@ -21,11 +21,14 @@ in Scenario.segments), a map of the atomic block followed by a rank-1
 Kalman update for the detection.  The probe reads only theta and the p
 rows, and the map never couples them to the x rows, so the runner keeps
 two blocks: the read block takes the Kalman update every step, and the
-unread x block advances once per chunk of steps in closed form.  Every scenario runs
-through that one path, so the single-slice homogeneous run and the
-one-slice limit of the sliced (thick) run execute identical arithmetic.
-The tests check it against dense operators built from the same rates,
-which carry the light pair explicitly (tests/oracles.py).
+unread x block advances once per chunk of steps in closed form.  A
+one-row read block (a single slice without theta) takes a chunk's Kalman
+updates at once, as a prefix scan of its scalar Riccati recursion; a
+wider one loops over the steps.  The single-slice homogeneous run and
+the one-slice limit of the sliced (thick) run therefore take the same
+path and execute identical arithmetic.  The tests check it against dense
+operators built from the same rates, which carry the light pair
+explicitly (tests/oracles.py).
 
 Per-step time dependence uses exponential factors frozen at the step start:
 couplings shrink as exp(-eta t / 2) while the mean spin decays, the atomic
@@ -481,7 +484,11 @@ class Scenario:
         (read covariance, read means, unread covariance, unread means); see
         run.  Refuses a state that correlates the x rows with the p rows or
         theta, and a rotation other than a shear of p rows by theta: the
-        split cannot represent them.
+        split cannot represent them.  Refuses a non-physical state too: a
+        theta variance that is not positive, or an (x, p) pair with
+        gamma_xx <= 0 or gamma_xx gamma_pp below one (to round-off).  With
+        gamma_xp zero, as the split requires, that is the single-pair form
+        of gamma + i Omega >= 0.
         """
         state = self.initial_state
         m = state.dim
@@ -490,6 +497,21 @@ class Scenario:
         if np.any(cov[read, unread]) or np.any(cov[unread, read]):
             raise InvalidInputError(
                 "the initial state correlates x rows with p rows or theta"
+            )
+        if state.has_theta and not cov[0, 0] > 0.0:
+            raise InvalidInputError(
+                f"the initial theta variance must be positive, got {cov[0, 0] / 2.0}"
+            )
+        x = np.arange(m)[unread]
+        xx = cov[x, x]
+        det = xx * cov[x + 1, x + 1]
+        bad = (xx <= 0.0) | (det < 1.0 - 1e-12 * np.abs(det))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise InvalidInputError(
+                f"the initial state of slice {i + 1} is not physical: "
+                f"gamma_xx = {xx[i]}, gamma_xx gamma_pp = {det[i]} "
+                "(need gamma_xx > 0 and gamma_xx gamma_pp >= 1)"
             )
         read_rows = np.arange(m)[read]
         for phase in self.phases:
@@ -912,15 +934,56 @@ def _open_chunk(cov, mean, block: _BlockRun, n: int, back: bool, spread=None):
         cov += gram
 
 
+def _riccati_scan(g0: float, c: np.ndarray, q) -> np.ndarray:
+    """G_0..G_n of the scalar Riccati G -> G / (1 + c_j G) + q_j.
+
+    Step j is the linear-fractional map with matrix [[1 + q_j c_j, q_j],
+    [c_j, 1]]; maps compose by matrix product, so a Hillis-Steele prefix
+    product gives every G_j in ceil(log2(n)) rounds of elementwise
+    arithmetic, without a per-step loop (Sarkka & Garcia-Fernandez, IEEE
+    TAC 66, 299 (2021)).  Each partial product is divided by its (2, 2)
+    entry, which then stays one.  With g0, c and q nonnegative (a physical
+    initial state has g0 > 0, see Scenario.blocks) every entry stays
+    nonnegative, so no sum cancels.
+    """
+    n = len(c)
+    a = np.ones(n) if q is None else q * c + 1.0
+    b = np.zeros(n) if q is None else q.copy()
+    c = c.copy()
+    s = 1
+    while s < n:
+        # the maps up to j (later, left) times the partial products to j - s
+        a1, b1, c1 = a[s:], b[s:], c[s:]
+        a0, b0, c0 = a[:-s], b[:-s], c[:-s]
+        inv = 1.0 / (c1 * b0 + 1.0)
+        a[s:], b[s:], c[s:] = ((a1 * a0 + b1 * c0) * inv,
+                               (a1 * b0 + b1) * inv, (c1 * a0 + c0) * inv)
+        s *= 2
+    g = np.empty(n + 1)
+    g[0] = g0
+    g[1:] = (a * g0 + b) / (c * g0 + 1.0)
+    return g
+
+
+def _degenerate(bxx, step: int, t: float) -> DegenerateCovarianceError:
+    return DegenerateCovarianceError(
+        f"measured-quadrature variance must be positive, got "
+        f"{bxx} at step {step} (t = {t:.6e} s)"
+    )
+
+
 def _kalman_chunk(cov, mean, block: _BlockRun, z, pre, shot, gains, buf, k0, t0, tau):
     """len(z) measured steps of the read block; z becomes the deviations chi.
 
     The steps run in loss-scaled coordinates, gamma_j = E_j G_j E_j with
     E_j = diag(d**j): the loss then leaves the step, which becomes the
     rank-1 Kalman update of G_j with read-out E_j h_j followed by the noise
-    q_j / E_(j+1)**2.  The scaled means E_j**-1 a_j move only by the scaled
-    gains, so one running sum gives them for the whole chunk, and with them
-    the predicted read-out in front of each detection, ``pre``.
+    q_j / E_(j+1)**2.  A one-row read block takes all the chunk's steps at
+    once, by a prefix scan of the scalar Riccati recursion (_riccati_scan);
+    a wider one loops over them.  The scaled means E_j**-1 a_j move only by
+    the scaled gains, so one running sum gives them for the whole chunk,
+    and with them the predicted read-out in front of each detection,
+    ``pre``.
     """
     n = len(z)
     pows, noise, h_rows = block.fill(n)
@@ -930,23 +993,33 @@ def _kalman_chunk(cov, mean, block: _BlockRun, z, pre, shot, gains, buf, k0, t0,
             noise /= pows[1:]
             noise /= pows[1:]
     gains = gains[:n]
-    roots = np.empty(n)
-    diag = cov.ravel()[:: len(cov) + 1]
-    for i, (h, g, g_col) in enumerate(zip(h_rows, gains, gains[:, :, None])):
-        cov.dot(h, out=g)
-        bxx = h.dot(g) + shot
-        if not bxx > 0.0:
-            raise DegenerateCovarianceError(
-                f"measured-quadrature variance must be positive, got "
-                f"{bxx} at step {k0 + i + 1} (t = {t0 + (i + 1) * tau:.6e} s)"
-            )
-        root = math.sqrt(bxx)
-        roots[i] = root
-        g /= root
-        np.multiply(g_col, g, out=buf)
-        cov -= buf
-        if noise is not None:
-            diag += noise[i]
+    if len(cov) == 1:
+        h = h_rows[:, 0]
+        g = _riccati_scan(float(cov[0, 0]), h * h / shot,
+                          None if noise is None else noise[:, 0])
+        bxx = h * h * g[:n] + shot
+        bad = ~(bxx > 0.0)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise _degenerate(bxx[i], k0 + i + 1, t0 + (i + 1) * tau)
+        roots = np.sqrt(bxx)
+        np.divide(g[:n] * h, roots, out=gains[:, 0])
+        cov[0, 0] = g[n]
+    else:
+        roots = np.empty(n)
+        diag = cov.ravel()[:: len(cov) + 1]
+        for i, (h, g, g_col) in enumerate(zip(h_rows, gains, gains[:, :, None])):
+            cov.dot(h, out=g)
+            bxx = h.dot(g) + shot
+            if not bxx > 0.0:
+                raise _degenerate(bxx, k0 + i + 1, t0 + (i + 1) * tau)
+            root = math.sqrt(bxx)
+            roots[i] = root
+            g /= root
+            np.multiply(g_col, g, out=buf)
+            cov -= buf
+            if noise is not None:
+                diag += noise[i]
     steps = gains * z[:, None]
     np.cumsum(steps, axis=0, out=steps)
     np.dot(h_rows, mean, out=pre)
@@ -976,9 +1049,11 @@ def run(
     The atomic block is kept as two blocks that no step couples: the read
     block (theta and the p rows) takes the per-step Kalman updates, the
     unread block (the x rows) advances in closed form once per chunk of
-    steps, and the full block is assembled only at sample points.  The
-    initial state must not correlate the two blocks, and a rotation must
-    shear p rows by theta (see Scenario.blocks).
+    steps, and the full block is assembled only at sample points.  A
+    one-row read block takes a whole chunk's updates in one prefix scan of
+    the scalar Riccati recursion, a wider one step by step.  The initial
+    state must be physical and must not correlate the two blocks, and a
+    rotation must shear p rows by theta (see Scenario.blocks).
     """
     m = scenario.initial_state.dim
     cov_r, mean_r, cov_u, mean_u = (a.copy() for a in scenario.blocks)

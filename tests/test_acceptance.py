@@ -62,6 +62,24 @@ def test_criterion_1_noiseless_homogeneous_oracle(noiseless_run):
           f"max rel err {err:.2e} (<1e-3), runtime {wall:.1f} s (<10 s)")
 
 
+def test_criterion_1_scalar_recursion_oracle(noiseless_run):
+    """The criterion-1 run against G <- G / (1 + kappa^2 tau G), step by step."""
+    ts, _, _ = noiseless_run
+    ktau_sq = KAPPA_SQ * TAU
+    g = 1.0
+    ref = [g]
+    for k in range(1, int(round(ts.times[-1] / TAU)) + 1):
+        g = g / (1.0 + ktau_sq * g)
+        if k % 1000 == 0:
+            ref.append(g)
+    ref = np.array(ref) / 2.0
+    assert len(ref) == len(ts.times)
+    err = np.max(np.abs(ts.columns["var_p"] - ref) / ref)
+    assert err <= 1e-12, f"max relative error {err:.2e}"
+    print(f"[criterion 1] PASS: noiseless engine vs scalar recursion, "
+          f"max rel err {err:.2e} (<=1e-12)")
+
+
 def test_criterion_2_noisy_homogeneous_oracle():
     """Engine with decay and absorption vs the full conditional-variance curve."""
     sc = sq.build_homogeneous(NOISY, tau=TAU, t_end=3e-3, sample_every=1000)

@@ -31,7 +31,6 @@ class TestParseConfig:
     def test_defaults(self):
         cfg = parse_config(cfg_text())
         assert cfg.tau == 1e-8
-        assert cfg.var0 == 0.5
         assert cfg.seed == 0
         assert cfg.rates.kappa_sq == 1.83e6
 
@@ -332,6 +331,14 @@ class TestMain:
         assert main(["run", "--config", str(cfg_path)]) == 2
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "out" / "homogeneous.csv").exists()
+
+    def test_var0_key_exit_2_without_output(self, tmp_path, capsys):
+        """The simulated state is the coherent spin state; var0 has no say."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(cfg_text(var0=0.25, output_dir=str(tmp_path / "out")))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert "unknown key 'var0'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_config_exit_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -13,7 +13,12 @@ from squeezesim.analytic import (
     var_p_noisy,
 )
 from squeezesim.errors import ConfigError, InvalidInputError
-from squeezesim.gaussian_core import CHI_STD, GaussianState
+from squeezesim.gaussian_core import (
+    CHI_STD,
+    GaussianState,
+    standard_labels,
+    vacuum_state,
+)
 from squeezesim.physics import CouplingRates
 from squeezesim.scenarios import (
     BeamSegment,
@@ -210,6 +215,27 @@ class TestThick:
         assert np.allclose(
             ts_t.columns["min_eig_var"], ts_h.columns["var_p"], rtol=1e-12
         )
+
+    @pytest.mark.parametrize("rates, tau, n_steps", [
+        (RATES, 5e-8, 2500),
+        # eta tau = 0.4: the loss-scale cap shortens the chunks
+        (CouplingRates(kappa_sq=1.83e6, eta=4e7, epsilon=0.028), 1e-8, 1200),
+    ])
+    def test_single_slice_bitwise_across_chunks(self, rates, tau, n_steps):
+        """Both runs take the one-row scan over several chunks per sample."""
+        t_end = n_steps * tau
+        sc_thick = build_thick(SliceConfig.split(1, rates), tau, t_end,
+                               sample_every=n_steps)
+        sc_hom = build_homogeneous(rates, tau, t_end, sample_every=n_steps)
+        assert sc_hom.segments[0].chunk_steps < n_steps // 2
+        _, tr_t = run(sc_thick, seed=5, record_cov=True)
+        _, tr_h = run(sc_hom, seed=5, record_cov=True)
+        for a, b in zip(tr_t.cov_samples, tr_h.cov_samples, strict=True):
+            assert np.array_equal(a, b)
+        for (_, a, _), (_, b, _) in zip(tr_t.samples, tr_h.samples, strict=True):
+            assert np.array_equal(a, b)
+        assert np.array_equal(tr_t.chis, tr_h.chis)
+        assert np.array_equal(tr_t.outcomes, tr_h.outcomes)
 
     def test_light_noise_floor_amplified_along_stack(self):
         slices = SliceConfig.split(4, RATES, per_slice_epsilon=0.028)
@@ -471,6 +497,19 @@ class TestRunnerDensePathEquivalence:
         assert sc.segments[0].chunk_steps < sc.sample_every // 2
         self._compare_samples(sc, seed=9)
 
+    @pytest.mark.parametrize("eta, n_steps", [
+        (2e4, 2500),
+        # eta tau = 0.4: the loss-scale cap shortens the chunks
+        (4e7, 1200),
+    ])
+    def test_chunk_boundaries_one_row(self, eta, n_steps):
+        """The one-row scan across chunk ends, with loss and absorption."""
+        slices = SliceConfig(1, np.array([8e5]), np.array([eta]), np.array([0.028]))
+        sc = build_thick(slices, tau=1e-8, t_end=n_steps * 1e-8,
+                         sample_every=n_steps)
+        assert sc.segments[0].chunk_steps < sc.sample_every // 2
+        self._compare_samples(sc, seed=9)
+
     def test_chunk_boundaries_estimation(self):
         """Phase ends and the rotation fall between samples."""
         slices = SliceConfig(2, np.array([9e5, 9e5]), np.array([3e4, 3e4]),
@@ -703,6 +742,49 @@ class TestInputHardening:
     def test_non_finite_numbers_rejected(self, make):
         with pytest.raises(InvalidInputError, match="finite"):
             make()
+
+    @pytest.mark.parametrize("mean, cov", [
+        ([float("nan"), 0.0], np.eye(2)),
+        ([0.0, 0.0], np.diag([float("inf"), 1.0])),
+    ], ids=["nan_mean", "inf_x_variance"])
+    def test_non_finite_state_rejected(self, mean, cov):
+        with pytest.raises(InvalidInputError, match="must be finite"):
+            GaussianState(standard_labels(1), np.array(mean), cov)
+
+    def test_non_finite_theta_prior_rejected(self):
+        with pytest.raises(InvalidInputError, match="cov must be finite"):
+            vacuum_state(standard_labels(1, theta=True), theta_var=float("nan"))
+
+    @pytest.mark.parametrize("cov", [
+        0.1 * np.eye(2),
+        np.diag([1.0, -100.0]),
+        np.diag([-1.0, -1.0]),
+    ], ids=["below_uncertainty_bound", "negative_p_variance", "negative_x_variance"])
+    def test_non_physical_pair_refused(self, cov):
+        sc = build_homogeneous(RATES, tau=1e-8, t_end=1e-7, sample_every=5)
+        state = GaussianState(sc.initial_state.labels, sc.initial_state.mean, cov)
+        with pytest.raises(InvalidInputError, match="slice 1 is not physical"):
+            run(dataclasses.replace(sc, initial_state=state))
+
+    @pytest.mark.parametrize("var_theta", [0.0, -0.5])
+    def test_non_positive_theta_variance_refused(self, var_theta):
+        est = EstimationParams(t1=5e-8, t2=6e-8, alpha=1.0)
+        sc = build_estimation(
+            build_homogeneous(RATES, tau=1e-8, t_end=1e-7, sample_every=5), est)
+        cov = sc.initial_state.cov.copy()
+        cov[0, 0] = 2.0 * var_theta
+        state = GaussianState(sc.initial_state.labels, sc.initial_state.mean, cov)
+        with pytest.raises(InvalidInputError, match="theta variance must be positive"):
+            run(dataclasses.replace(sc, initial_state=state))
+
+    def test_squeezed_minimum_uncertainty_state_accepted(self):
+        """gamma_xx gamma_pp = 1 up to round-off is on the bound, not below."""
+        sc = build_homogeneous(RATES, tau=1e-8, t_end=1e-7, sample_every=5)
+        for r in np.linspace(0.1, 3.0, 30):
+            cov = np.diag([math.exp(2 * r), math.exp(-2 * r)])
+            state = GaussianState(sc.initial_state.labels, sc.initial_state.mean, cov)
+            ts, _ = run(dataclasses.replace(sc, initial_state=state))
+            assert ts.columns["var_p"][0] == math.exp(-2 * r) / 2.0
 
     def test_duration_must_be_whole_steps(self):
         with pytest.raises(InvalidInputError, match="whole number"):
