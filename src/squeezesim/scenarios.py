@@ -21,11 +21,13 @@ in Scenario.segments), a map of the atomic block followed by a rank-1
 Kalman update for the detection.  The probe reads only theta and the p
 rows, and the map never couples them to the x rows, so the runner keeps
 two blocks: the read block takes the Kalman update every step, and the
-unread x block advances once per chunk of steps in closed form.  A
-one-row read block (a single slice without theta) takes a chunk's Kalman
-updates at once, as a prefix scan of its scalar Riccati recursion; a
-wider one loops over the steps.  The single-slice homogeneous run and
-the one-slice limit of the sliced (thick) run therefore take the same
+unread x block advances once per chunk of steps in closed form.  No
+measured step loops in Python.  A one-row read block (a single slice
+without theta) takes a chunk's Kalman updates at once, as a prefix scan
+of its scalar Riccati recursion; a wider one takes them KALMAN_BLOCK
+steps at a time, as one Cholesky factorization of the joint covariance
+of their read-outs and the final state.  The single-slice homogeneous run
+and the one-slice limit of the sliced (thick) run therefore take the same
 path and execute identical arithmetic.  The tests check it against dense
 operators built from the same rates, which carry the light pair
 explicitly (tests/oracles.py).
@@ -232,6 +234,8 @@ def _block_rows(m: int) -> tuple[slice, slice]:
 CHUNK_STEPS = 1024
 #: Most entries of one per-step chunk array (steps x block width).
 CHUNK_ELEMENTS = 8192
+#: Most measured steps of a wide read block one Cholesky factorization covers.
+KALMAN_BLOCK = 64
 #: The read block runs in loss-scaled coordinates, whose noise grows by up
 #: to growth / loss**2 per step; a chunk keeps that below exp(LOSS_SCALE_LOG).
 LOSS_SCALE_LOG = 230.0
@@ -318,7 +322,41 @@ class BeamSegment:
         below one.
         """
         read, unread = _block_rows(m)
-        x_rows = np.arange(m)[unread]
+        sizes = [len(g.ax_rows) for g in groups]
+        owner = np.repeat(np.arange(len(groups)), sizes)
+        ax, kappas_sq, etas = (
+            np.concatenate([getattr(g, name) for g in groups] or [np.empty(0)])
+            for name in ("ax_rows", "kappas_sq", "etas"))
+        ax = ax.astype(int)
+        first = np.unique(ax, return_index=True)[1]
+        again = np.ones(len(ax), dtype=bool)
+        again[first] = False
+        eta_tau = etas * tau
+        for bad, what in (((ax < 0) | (ax >= m) | (ax % 2 != m % 2),
+                           " couples rows that are not x rows"),
+                          (again, " couples a slice already coupled"),
+                          (eta_tau >= 1.0, ": eta * tau must be below 1")):
+            if bad.any():
+                raise InvalidInputError(f"group {owner[np.argmax(bad)]}{what}")
+        # the light, group by group in beam order: the transmission and the
+        # variance of each quadrature reaching the group; the read-out of a
+        # slice is damped by its own group and every later one
+        k0 = np.sqrt(kappas_sq * tau) * np.exp(-etas * t_start / 2.0)
+        reach = np.empty(len(groups))
+        level_g = np.empty(len(groups))
+        read_k = k0.copy()
+        shot = 1.0
+        trans_p = 1.0
+        end = 0
+        for i, (g, size) in enumerate(zip(groups, sizes)):
+            reach[i] = trans_p
+            level_g[i] = shot / (trans_p * trans_p)
+            light = math.sqrt(1.0 - g.epsilon)
+            end += size
+            read_k[:end] *= light
+            shot = light * light * shot + g.epsilon / g.transmission
+            trans_p *= light
+        slice_decay = np.exp(-eta_tau / 2.0)
         loss = np.ones(m)
         noise = np.zeros(m)
         growth = np.ones(m)
@@ -326,38 +364,15 @@ class BeamSegment:
         readout = np.zeros(m)
         decay = np.ones(m)
         level = np.ones(m)
-        coupled = np.zeros(m, dtype=bool)
-        kappas0 = []
-        slice_decay = []
-        shot = 1.0  # variance of each light quadrature, group by group
-        trans_p = 1.0
-        for i, g in enumerate(groups):
-            ax = g.ax_rows
-            if not np.all(np.isin(ax, x_rows)):
-                raise InvalidInputError(f"group {i} couples rows that are not x rows")
-            if np.any(coupled[ax]):
-                raise InvalidInputError(f"group {i} couples a slice already coupled")
-            coupled[ax] = True
-            eta_tau = g.etas * tau
-            if np.any(eta_tau >= 1.0):
-                raise InvalidInputError(f"group {i}: eta * tau must be below 1")
-            k0 = np.sqrt(g.kappas_sq * tau) * np.exp(-g.etas * t_start / 2.0)
-            k_decay = np.exp(-eta_tau / 2.0)
-            loss[ax] = loss[ax + 1] = np.sqrt(1.0 - eta_tau)
-            noise[ax] = noise[ax + 1] = 2.0 * eta_tau * np.exp(g.etas * t_start)
-            growth[ax] = growth[ax + 1] = np.exp(eta_tau)
-            back[ax] = loss[ax] * k0 * trans_p
-            level[ax] = shot / (trans_p * trans_p)
-            decay[ax] = decay[ax + 1] = k_decay
-            readout[ax + 1] = k0
-            light = math.sqrt(1.0 - g.epsilon)
-            readout *= light
-            shot = light * light * shot + g.epsilon / g.transmission
-            trans_p *= light
-            kappas0.append(k0)
-            slice_decay.append(k_decay)
+        loss[ax] = loss[ax + 1] = np.sqrt(1.0 - eta_tau)
+        noise[ax] = noise[ax + 1] = 2.0 * eta_tau * np.exp(etas * t_start)
+        growth[ax] = growth[ax + 1] = np.exp(eta_tau)
+        back[ax] = loss[ax] * k0 * reach[owner]
+        level[ax] = level_g[owner]
+        decay[ax] = decay[ax + 1] = slice_decay
+        readout[ax + 1] = read_k
         read_map = BlockMap.take(read, loss, noise, growth, readout, decay)
-        width = max(len(read_map.coupling0), len(x_rows))
+        width = max(len(read_map.coupling0), m // 2)
         steps = min(CHUNK_STEPS, max(1, CHUNK_ELEMENTS // width))
         if read_map.loss is not None:
             rate = -2.0 * math.log(float(np.min(read_map.loss)))
@@ -370,8 +385,8 @@ class BeamSegment:
             unread=BlockMap.take(unread, loss, noise, growth, back, decay),
             spread=None if np.all(level == 1.0) else np.minimum.outer(level, level),
             shot=shot,
-            kappas0=np.concatenate(kappas0 or [np.empty(0)]),
-            slice_decay=np.concatenate(slice_decay or [np.empty(0)]),
+            kappas0=k0,
+            slice_decay=slice_decay,
             chunk_steps=steps,
         )
 
@@ -485,10 +500,12 @@ class Scenario:
         run.  Refuses a state that correlates the x rows with the p rows or
         theta, and a rotation other than a shear of p rows by theta: the
         split cannot represent them.  Refuses a non-physical state too: a
-        theta variance that is not positive, or an (x, p) pair with
-        gamma_xx <= 0 or gamma_xx gamma_pp below one (to round-off).  With
-        gamma_xp zero, as the split requires, that is the single-pair form
-        of gamma + i Omega >= 0.
+        theta variance that is not positive, an (x, p) pair with
+        gamma_xx <= 0 or gamma_xx gamma_pp below one (to round-off), and
+        then any state that breaks gamma + i Omega >= 0 as a whole
+        (_check_uncertainty).  An accepted state keeps the read-out
+        covariance of every block of measured steps positive definite, so
+        the runner's Cholesky factors exist.
         """
         state = self.initial_state
         m = state.dim
@@ -521,8 +538,10 @@ class Scenario:
                     "a rotation must shear p rows or theta by a theta variable"
                 )
         cov_r, cov_u = cov[read, read], cov[unread, unread]
-        return ((cov_r + cov_r.T) / 2.0, state.mean[read],
-                (cov_u + cov_u.T) / 2.0, state.mean[unread])
+        cov_r, cov_u = (cov_r + cov_r.T) / 2.0, (cov_u + cov_u.T) / 2.0
+        if len(cov_r) > 1:  # one pair without theta: the pair check is all of it
+            _check_uncertainty(cov_r, cov_u)
+        return cov_r, state.mean[read], cov_u, state.mean[unread]
 
     @cached_property
     def segments(self) -> tuple:
@@ -538,6 +557,37 @@ class Scenario:
     def sampler(self) -> "_Sampler":
         """The observables' evaluator, built once per scenario."""
         return _Sampler(self)
+
+
+def _check_uncertainty(cov_r: np.ndarray, cov_u: np.ndarray):
+    """Refuse read and unread blocks that break gamma + i Omega >= 0.
+
+    Omega pairs each x row with its p row and leaves theta alone, so with
+    the two blocks uncorrelated the condition is, in Schur form, Gamma_x > 0
+    and Gamma_p|theta - Gamma_x^-1 >= 0.  With Gamma_x = L L^T the second
+    is checked as L^T Gamma_p|theta L - I >= 0, a congruence that keeps its
+    inertia and scales the bound to one, and theta is kept in the block
+    (its variance is positive) in place of conditioning on it.
+    """
+    try:
+        low = np.linalg.cholesky(cov_u)
+    except np.linalg.LinAlgError:
+        raise InvalidInputError(
+            "the initial state is not physical: its x block is not positive "
+            "definite (need gamma + i Omega >= 0)"
+        ) from None
+    p = slice(len(cov_r) - len(cov_u), None)
+    gap = cov_r.copy()
+    gap[p] = np.dot(low.T, gap[p])
+    gap[:, p] = np.dot(gap[:, p], low)
+    gap.ravel()[p.start * (len(gap) + 1) :: len(gap) + 1] -= 1.0
+    least = float(np.linalg.eigvalsh(gap)[0])
+    if least < -1e-12 * max(1.0, float(np.max(np.abs(gap)))):
+        raise InvalidInputError(
+            "the initial state is not physical: gamma + i Omega has a negative "
+            f"direction (L^T Gamma_p|theta L - I reaches {least:.6g}, "
+            "need >= 0)"
+        )
 
 
 def _check_validity(kappa_sq_max: float, tau: float):
@@ -798,8 +848,7 @@ class _Sampler:
         state = scenario.initial_state
         self.obs = scenario.observables
         self.atom_slice = slice(1 if state.has_theta else 0, None)
-        self.n_pairs = state.n_pairs
-        n = self.n_pairs
+        n = state.n_pairs
         self.p_rows_local = 2 * np.arange(n) + 1
         self.sym = np.full(n, 1.0 / math.sqrt(n))
         self.need_eig = any(
@@ -812,13 +861,16 @@ class _Sampler:
     def row(self, cov, mean, kappa_weights) -> tuple:
         block = cov[self.atom_slice, self.atom_slice]
         p = self.p_rows_local
-        eig_val = eig_vec = None
+        eig_val = eig_p = None
         if self.need_eig:
-            w, v = sym_eig_all(block, vectors=self.need_vectors)
-            i = int(np.argmin(w))
-            eig_val = float(w[i]) / 2.0
-            if self.need_vectors:
-                eig_vec = v[:, i]
+            # the x rows and the p rows never correlate, so each block is
+            # solved alone; a tie goes to the x block, which leads the
+            # interleaved layout, and an x eigenvector has no p part
+            w_x, _ = sym_eig_all(block[::2, ::2], vectors=False)
+            w_p, v_p = sym_eig_all(block[1::2, 1::2], vectors=self.need_vectors)
+            eig_val = float(min(w_x[0], w_p[0])) / 2.0
+            if self.need_vectors and w_p[0] < w_x[0]:
+                eig_p = v_p[:, 0]
         nrm = float(np.linalg.norm(kappa_weights))
         weights = kappa_weights / nrm if nrm > 0 else None
         out = []
@@ -834,9 +886,7 @@ class _Sampler:
                 if weights is None:
                     out.append(float("nan"))
                 else:
-                    full = np.zeros(2 * self.n_pairs)
-                    full[p] = weights
-                    out.append(abs(float(eig_vec @ full)))
+                    out.append(0.0 if eig_p is None else abs(float(eig_p @ weights)))
             elif o == "var_P_eff":
                 if weights is None:
                     out.append(float("nan"))
@@ -965,25 +1015,76 @@ def _riccati_scan(g0: float, c: np.ndarray, q) -> np.ndarray:
     return g
 
 
-def _degenerate(bxx, step: int, t: float) -> DegenerateCovarianceError:
-    return DegenerateCovarianceError(
-        f"measured-quadrature variance must be positive, got "
-        f"{bxx} at step {step} (t = {t:.6e} s)"
-    )
+#: Lower-triangle mask (diagonal included) of the read-out covariance of a block.
+_LOWER = np.tri(KALMAN_BLOCK, dtype=bool)
 
 
-def _kalman_chunk(cov, mean, block: _BlockRun, z, pre, shot, gains, buf, k0, t0, tau):
+def _cholesky_block(cov, mean, h_rows, noise, z, pre, shot, k0, t0, tau):
+    """len(z) <= KALMAN_BLOCK measured steps of a wide read block at once.
+
+    In loss-scaled coordinates the state inside the block is a random walk,
+    a_j = a_s + sum_(k<j) w_k with Cov w_k = diag(q_k), read out as
+    y_j = h_j . a_j + v_j with Cov v_j = shot.  With Qc_j = sum_(k<j) q_k
+    the read-outs and the final state are jointly Gaussian, of covariance
+
+        A = [[M, Y], [Y^T, Z]],   M_ij = h_i^T (G + diag Qc_min(i,j)) h_j
+                                         + shot delta_ij,
+        row i of Y = (G + diag Qc_i) h_i,   Z = G + diag Qc_n,
+
+    and Kalman filtering the block is taking the Cholesky factor
+    [[L, 0], [B, C]] of A (the innovations form; Kailath, Sayed & Hassibi,
+    Linear Estimation (2000), ch. 9).  diag L holds the roots sqrt(bxx_j),
+    the predicted read-outs are pre = H a_s + (L - diag L) z, the state
+    moves to a_s + B z and its covariance to Z - B B^T.  That last one is a
+    Gram product, so the covariance stays exactly symmetric.  z becomes the
+    deviations chi.  A block whose A is not positive definite raises
+    DegenerateCovarianceError naming its first step.
+    """
+    n, r = h_rows.shape
+    qc = np.zeros((n + 1, r))
+    if noise is not None:
+        np.cumsum(noise, axis=0, out=qc[1:])
+    y = np.dot(h_rows, cov)
+    y += qc[:n] * h_rows
+    m = np.dot(h_rows, y.T)
+    a = np.empty((n + r, n + r))
+    a[:n, :n] = np.where(_LOWER[:n, :n], m, m.T)
+    a[:n, n:] = y
+    a[n:, :n] = y.T
+    a[n:, n:] = cov
+    diag = a.ravel()[:: n + r + 1]
+    diag[:n] += shot
+    diag[n:] += qc[n]
+    try:
+        f = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        raise DegenerateCovarianceError(
+            f"the read-out covariance of steps {k0 + 1}..{k0 + n} is not "
+            f"positive definite (first step at t = {t0 + tau:.6e} s)"
+        ) from None
+    low, back = f[:n, :n], f[n:, :n]
+    roots = low.diagonal().copy()
+    np.dot(low, z, out=pre)
+    pre -= roots * z
+    pre += np.dot(h_rows, mean)
+    mean += np.dot(back, z)
+    np.subtract(a[n:, n:], np.dot(back, back.T), out=cov)
+    z *= roots
+
+
+def _kalman_chunk(cov, mean, block: _BlockRun, z, pre, shot, k0, t0, tau):
     """len(z) measured steps of the read block; z becomes the deviations chi.
 
     The steps run in loss-scaled coordinates, gamma_j = E_j G_j E_j with
     E_j = diag(d**j): the loss then leaves the step, which becomes the
     rank-1 Kalman update of G_j with read-out E_j h_j followed by the noise
-    q_j / E_(j+1)**2.  A one-row read block takes all the chunk's steps at
-    once, by a prefix scan of the scalar Riccati recursion (_riccati_scan);
-    a wider one loops over them.  The scaled means E_j**-1 a_j move only by
-    the scaled gains, so one running sum gives them for the whole chunk,
-    and with them the predicted read-out in front of each detection,
-    ``pre``.
+    q_j / E_(j+1)**2.  No step loops in Python.  A one-row read block takes
+    all the chunk's steps at once, by a prefix scan of the scalar Riccati
+    recursion (_riccati_scan); its scaled means E_j**-1 a_j move only by
+    the scaled gains, so one running sum gives them, and with them the
+    predicted read-out in front of each detection, ``pre``.  A wider one
+    takes KALMAN_BLOCK steps at a time as one Cholesky factorization of
+    their joint covariance (_cholesky_block).
     """
     n = len(z)
     pows, noise, h_rows = block.fill(n)
@@ -992,7 +1093,6 @@ def _kalman_chunk(cov, mean, block: _BlockRun, z, pre, shot, gains, buf, k0, t0,
         if noise is not None:
             noise /= pows[1:]
             noise /= pows[1:]
-    gains = gains[:n]
     if len(cov) == 1:
         h = h_rows[:, 0]
         g = _riccati_scan(float(cov[0, 0]), h * h / shot,
@@ -1001,35 +1101,28 @@ def _kalman_chunk(cov, mean, block: _BlockRun, z, pre, shot, gains, buf, k0, t0,
         bad = ~(bxx > 0.0)
         if bad.any():
             i = int(np.argmax(bad))
-            raise _degenerate(bxx[i], k0 + i + 1, t0 + (i + 1) * tau)
+            raise DegenerateCovarianceError(
+                f"measured-quadrature variance must be positive, got {bxx[i]} "
+                f"at step {k0 + i + 1} (t = {t0 + (i + 1) * tau:.6e} s)"
+            )
         roots = np.sqrt(bxx)
-        np.divide(g[:n] * h, roots, out=gains[:, 0])
+        steps = g[:n] * h / roots * z
+        np.cumsum(steps, out=steps)
+        np.multiply(h, mean[0], out=pre)
+        pre[1:] += h[1:] * steps[:-1]
+        mean += steps[-1]
         cov[0, 0] = g[n]
+        z *= roots
     else:
-        roots = np.empty(n)
-        diag = cov.ravel()[:: len(cov) + 1]
-        for i, (h, g, g_col) in enumerate(zip(h_rows, gains, gains[:, :, None])):
-            cov.dot(h, out=g)
-            bxx = h.dot(g) + shot
-            if not bxx > 0.0:
-                raise _degenerate(bxx, k0 + i + 1, t0 + (i + 1) * tau)
-            root = math.sqrt(bxx)
-            roots[i] = root
-            g /= root
-            np.multiply(g_col, g, out=buf)
-            cov -= buf
-            if noise is not None:
-                diag += noise[i]
-    steps = gains * z[:, None]
-    np.cumsum(steps, axis=0, out=steps)
-    np.dot(h_rows, mean, out=pre)
-    pre[1:] += (h_rows[1:] * steps[:-1]).sum(axis=1)
-    mean += steps[-1]
+        for s in range(0, n, KALMAN_BLOCK):
+            e = min(s + KALMAN_BLOCK, n)
+            _cholesky_block(cov, mean, h_rows[s:e],
+                            None if noise is None else noise[s:e], z[s:e],
+                            pre[s:e], shot, k0 + s, t0 + s * tau, tau)
     if pows is not None:
         power = pows[n]
         cov *= np.outer(power, power)
         mean *= power
-    z *= roots
 
 
 def run(
@@ -1051,9 +1144,12 @@ def run(
     unread block (the x rows) advances in closed form once per chunk of
     steps, and the full block is assembled only at sample points.  A
     one-row read block takes a whole chunk's updates in one prefix scan of
-    the scalar Riccati recursion, a wider one step by step.  The initial
-    state must be physical and must not correlate the two blocks, and a
-    rotation must shear p rows by theta (see Scenario.blocks).
+    the scalar Riccati recursion, a wider one KALMAN_BLOCK steps at a time
+    in one Cholesky factorization; a failed factorization raises
+    DegenerateCovarianceError naming the block's first step.  The initial
+    state must be physical (gamma + i Omega >= 0) and must not correlate
+    the two blocks, and a rotation must shear p rows by theta (see
+    Scenario.blocks).
     """
     m = scenario.initial_state.dim
     cov_r, mean_r, cov_u, mean_u = (a.copy() for a in scenario.blocks)
@@ -1106,14 +1202,12 @@ def run(
         if measure:
             chis = rng.normal(0.0, CHI_STD, n_steps)
             pre = np.empty(n_steps)
-            gains = np.empty((cap, len(mean_r)))
-            buf = np.empty((len(mean_r), len(mean_r)))
         j = 0
         while j < n_steps:
             n = min(n_steps - j, cap, se - k % se)
             if measure:
                 _kalman_chunk(cov_r, mean_r, reads, chis[j : j + n], pre[j : j + n],
-                              seg.shot, gains, buf, k, t + j * phase.tau, phase.tau)
+                              seg.shot, k, t + j * phase.tau, phase.tau)
             else:
                 _open_chunk(cov_r, mean_r, reads, n, back=False)
             _open_chunk(cov_u, mean_u, unreads, n, back=True, spread=seg.spread)

@@ -12,7 +12,11 @@ from squeezesim.analytic import (
     var_p_noiseless,
     var_p_noisy,
 )
-from squeezesim.errors import ConfigError, InvalidInputError
+from squeezesim.errors import (
+    ConfigError,
+    DegenerateCovarianceError,
+    InvalidInputError,
+)
 from squeezesim.gaussian_core import (
     CHI_STD,
     GaussianState,
@@ -21,6 +25,7 @@ from squeezesim.gaussian_core import (
 )
 from squeezesim.physics import CouplingRates
 from squeezesim.scenarios import (
+    KALMAN_BLOCK,
     BeamSegment,
     ProbeGroup,
     ProbePhase,
@@ -34,6 +39,7 @@ from squeezesim.scenarios import (
     build_thin_inhomogeneous,
     run,
 )
+from squeezesim.scenarios import _cholesky_block
 
 from oracles import (
     apply_step,
@@ -46,6 +52,8 @@ from oracles import (
 
 RATES = CouplingRates(kappa_sq=1.83e6, eta=1.7577, epsilon=0.028)
 NOISELESS = CouplingRates(kappa_sq=1.83e6, eta=0.0, epsilon=0.0)
+#: Decay strong enough that a block's accumulated noise shows at 1e-12.
+DECAYING = CouplingRates(kappa_sq=1.83e6, eta=3e4, epsilon=0.028)
 
 
 class TestSpreadSpec:
@@ -467,7 +475,7 @@ class TestRunnerDensePathEquivalence:
         self._assert_matches(traj.cov_samples[-1], traj.samples[-1][1], dense)
 
 
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(data=st.data())
     def test_random_scenarios(self, data):
@@ -521,6 +529,57 @@ class TestRunnerDensePathEquivalence:
         assert sc.total_steps == 3000
         self._compare_samples(sc, seed=2)
 
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    @pytest.mark.parametrize("kind, width", [
+        ("estimation", 2), ("thin", 5), ("thick", 5)])
+    def test_block_boundaries(self, kind, width, extra):
+        """Phases of KALMAN_BLOCK - 1, KALMAN_BLOCK and KALMAN_BLOCK + 1 steps."""
+        n_steps = KALMAN_BLOCK + extra
+        tau = 1e-8
+        if kind == "estimation":
+            est = EstimationParams(t1=n_steps * tau, t2=(n_steps + 3) * tau,
+                                   alpha=1.5, var_theta0=0.5, theta_true=0.2)
+            sc = build_estimation(build_homogeneous(
+                DECAYING, tau, (2 * n_steps + 3) * tau, sample_every=n_steps), est)
+        elif kind == "thin":
+            sc = build_thin_inhomogeneous(SpreadSpec(1.83e6, 0.4), width, DECAYING,
+                                          tau, n_steps * tau, sample_every=n_steps,
+                                          eta_mode="intensity")
+        else:
+            slices = SliceConfig(width, np.linspace(2e5, 6e5, width),
+                                 np.linspace(1e4, 5e4, width), np.full(width, 0.03))
+            sc = build_thick(slices, tau, n_steps * tau, sample_every=n_steps)
+        assert len(sc.blocks[0]) == width
+        self._compare_samples(sc, seed=3)
+
+    def test_wide_block_covariances_do_not_depend_on_the_seed(self):
+        """The Cholesky blocks never read the draws: covariances match bit for bit."""
+        sc = build_thick(SliceConfig(3, np.array([4e5, 8e5, 6e5]), np.full(3, 3e4),
+                                     np.full(3, 0.02)), tau=1e-8, t_end=300e-8,
+                         sample_every=100)
+        _, tr1 = run(sc, seed=11, record_cov=True)
+        _, tr2 = run(sc, seed=22, record_cov=True)
+        for a, b in zip(tr1.cov_samples, tr2.cov_samples, strict=True):
+            assert np.array_equal(a, b)
+        assert not np.array_equal(tr1.samples[-1][1], tr2.samples[-1][1])
+
+    @pytest.mark.parametrize("kind", ["sampling", "loss_cap"])
+    def test_chunk_not_a_multiple_of_the_block(self, kind):
+        """Chunks end part way into a block of steps, several times."""
+        if kind == "sampling":
+            sc = build_thin_inhomogeneous(SpreadSpec(1.83e6, 0.4), 5, DECAYING,
+                                          tau=1e-8, t_end=450e-8, sample_every=150)
+            chunk = sc.sample_every
+        else:
+            # eta tau = 0.3: the loss-scale cap cuts the chunks short
+            slices = SliceConfig(4, np.full(4, 2e5), np.full(4, 3e7),
+                                 np.full(4, 0.02))
+            sc = build_thick(slices, tau=1e-8, t_end=1000e-8, sample_every=1000)
+            chunk = sc.segments[0].chunk_steps
+            assert chunk < sc.sample_every // 2
+        assert chunk % KALMAN_BLOCK
+        self._compare_samples(sc, seed=6)
+
     def test_theta_p_correlated_prior(self):
         """A prior correlating theta with the p rows stays exactly symmetric."""
         est = EstimationParams(t1=5e-8, t2=6e-8, alphas=(2.0, -1.0),
@@ -532,6 +591,8 @@ class TestRunnerDensePathEquivalence:
         cov[0, 2] = cov[2, 0] = 0.3
         cov[0, 4] = cov[4, 0] = -0.2
         cov[2, 4] = cov[4, 2] = 0.1
+        # extra p noise keeps the conditioned p block above the bound
+        cov[2, 2] = cov[4, 4] = 1.5
         state = GaussianState(sc.initial_state.labels, sc.initial_state.mean, cov)
         sc = dataclasses.replace(sc, initial_state=state, sample_every=9)
         traj = self._compare_samples(sc, seed=1)
@@ -587,8 +648,11 @@ TAU_PROP = 1e-8
 def _random_scenarios(draw):
     """A short thin, thick or estimation scenario with drawn rates."""
     kind = draw(st.sampled_from(["thin", "thick", "estimation"]))
-    n = draw(st.integers(1, 6))
-    n_steps = draw(st.integers(1, 5))
+    # one slice half the time: a one-row read block when theta is absent
+    n = draw(st.one_of(st.just(1), st.integers(2, 6)))
+    # both sides of a block end, and runs of more than one block
+    n_steps = draw(st.one_of(st.integers(1, 5),
+                             st.integers(KALMAN_BLOCK - 2, 2 * KALMAN_BLOCK + 2)))
     kappas_sq = np.array(draw(st.lists(st.floats(1e3, 1e7), min_size=n, max_size=n)))
     etas = np.array(draw(st.lists(
         st.one_of(st.just(0.0), st.floats(1.0, 5e6)), min_size=n, max_size=n)))
@@ -718,6 +782,11 @@ class TestProbeGroupRefusals:
         with pytest.raises(InvalidInputError, match="already coupled"):
             BeamSegment.compose(groups, 4, 1e-8)
 
+    def test_compose_refuses_a_slice_listed_twice_in_one_group(self):
+        groups = (ProbeGroup([2, 2], [1e6, 1e6], [0.0, 0.0]),)
+        with pytest.raises(InvalidInputError, match="group 0 couples a slice already"):
+            BeamSegment.compose(groups, 4, 1e-8)
+
     def test_compose_refuses_eta_tau_of_one(self):
         groups = (ProbeGroup([0], [1e6], [1e8]),)
         BeamSegment.compose(groups, 2, 0.99e-8)
@@ -777,6 +846,48 @@ class TestInputHardening:
         with pytest.raises(InvalidInputError, match="theta variance must be positive"):
             run(dataclasses.replace(sc, initial_state=state))
 
+    @pytest.mark.parametrize("corr", [
+        {(1, 3): 5.0},
+        {(0, 2): 2.0, (1, 1): 5.0, (3, 3): 5.0},
+    ], ids=["p_correlation", "x_block_indefinite"])
+    def test_multi_slice_state_below_the_bound_refused(self, corr):
+        """Every pair passes gamma_xx gamma_pp >= 1; the state as a whole not."""
+        sc = build_thin_inhomogeneous(SpreadSpec(1.83e6, 0.3), 2, RATES, tau=1e-8,
+                                      t_end=1e-7, sample_every=5)
+        cov = np.eye(4)
+        for (i, j), v in corr.items():
+            cov[i, j] = cov[j, i] = v
+        state = GaussianState(sc.initial_state.labels, sc.initial_state.mean, cov)
+        with pytest.raises(InvalidInputError, match=r"not physical: .*gamma \+ i Omega"):
+            run(dataclasses.replace(sc, initial_state=state))
+
+    def test_theta_p_correlation_below_the_bound_refused(self):
+        est = EstimationParams(t1=5e-8, t2=6e-8, alphas=(2.0, -1.0), var_theta0=0.5)
+        sc = build_estimation(build_thin_inhomogeneous(
+            SpreadSpec(1.83e6, 0.3), 2, RATES, tau=1e-8, t_end=1e-7, sample_every=3),
+            est)
+        cov = sc.initial_state.cov.copy()
+        cov[0, 2] = cov[2, 0] = 0.3
+        cov[0, 4] = cov[4, 0] = -0.2
+        cov[2, 4] = cov[4, 2] = 0.1
+        state = GaussianState(sc.initial_state.labels, sc.initial_state.mean, cov)
+        with pytest.raises(InvalidInputError, match=r"gamma \+ i Omega"):
+            run(dataclasses.replace(sc, initial_state=state))
+
+    def test_correlated_minimum_uncertainty_state_accepted(self):
+        """Gamma_p = Gamma_x^-1 up to round-off lies on the bound, not below."""
+        n = 6
+        sc = build_thin_inhomogeneous(SpreadSpec(1.83e6, 0.3), n, RATES, tau=1e-8,
+                                      t_end=1e-7, sample_every=5)
+        rng = np.random.default_rng(8)
+        rot, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        s = np.exp(rng.uniform(-3.0, 3.0, n))
+        cov = np.zeros((2 * n, 2 * n))
+        cov[::2, ::2] = (rot * s) @ rot.T
+        cov[1::2, 1::2] = (rot / s) @ rot.T
+        state = GaussianState(sc.initial_state.labels, sc.initial_state.mean, cov)
+        run(dataclasses.replace(sc, initial_state=state))
+
     def test_squeezed_minimum_uncertainty_state_accepted(self):
         """gamma_xx gamma_pp = 1 up to round-off is on the bound, not below."""
         sc = build_homogeneous(RATES, tau=1e-8, t_end=1e-7, sample_every=5)
@@ -818,3 +929,14 @@ class TestScenarioShape:
     def test_probe_phase_step_count(self):
         phase = ProbePhase(duration=1e-5, tau=1e-8, groups=())
         assert phase.n_steps == 1000
+
+
+class TestCholeskyBlock:
+    def test_indefinite_read_block_names_its_first_step(self):
+        """LAPACK's failure comes out as DegenerateCovarianceError, never LinAlgError."""
+        cov = np.diag([1.0, -100.0])
+        h_rows = np.full((3, 2), 0.5)
+        with pytest.raises(DegenerateCovarianceError,
+                           match=r"steps 11\.\.13 .*t = 1\.100000e-07 s"):
+            _cholesky_block(cov, np.zeros(2), h_rows, None, np.zeros(3),
+                            np.empty(3), 1.0, 10, 1e-7, 1e-8)
