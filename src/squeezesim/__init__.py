@@ -30,7 +30,6 @@ from .analytic import (
 from .errors import (
     ConfigError,
     DegenerateCovarianceError,
-    DivergenceError,
     InvalidInputError,
     NoMinimumError,
     OpticallyThickError,

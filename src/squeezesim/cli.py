@@ -349,14 +349,6 @@ def _analytic_var_p(cfg: RunConfig, times: np.ndarray) -> np.ndarray:
     return analytic.var_p_noisy(times, params)
 
 
-CSV_COLUMNS = {
-    "homogeneous": ("var_p", "var_p_analytic"),
-    "thin_inhomogeneous": ("min_eig_var", "var_P_eff", "var_P", "var_p_analytic"),
-    "thick": ("min_eig_var", "var_P_eff"),
-    "estimation": ("var_theta", "mean_theta"),
-}
-
-
 def _format(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -427,14 +419,12 @@ def _write_outputs(out_dir: Path, manifest: str, curves, notes: dict,
 
 
 def _run_to_columns(cfg: RunConfig, sc: scenarios.Scenario):
+    """Run a scenario; its sampled columns, then the closed-form curve of a
+    homogeneous or thin sample."""
     ts, _ = scenarios.run(sc, seed=cfg.seed)
-    wanted = CSV_COLUMNS[cfg.scenario]
-    cols = {}
-    for name in wanted:
-        if name == "var_p_analytic":
-            cols[name] = _analytic_var_p(cfg, ts.times)
-        elif name in ts.columns:
-            cols[name] = ts.columns[name]
+    cols = dict(ts.columns)
+    if cfg.scenario in ("homogeneous", "thin_inhomogeneous"):
+        cols["var_p_analytic"] = _analytic_var_p(cfg, ts.times)
     return ts, cols
 
 

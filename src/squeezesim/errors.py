@@ -1,5 +1,7 @@
 """Exception types shared across the package, and the finiteness check."""
 
+import math
+
 import numpy as np
 
 
@@ -15,26 +17,22 @@ def require_finite(**values):
     """Raise InvalidInputError naming the first value that is not finite.
 
     Sign and range tests let NaN through (every comparison with NaN is
-    false), so boundaries call this before them.
+    false), so boundaries call this before them.  Python and numpy scalars
+    take math.isfinite, which raises OverflowError for an integer beyond
+    the float range as numpy's conversion does; anything else goes through
+    numpy as an array.
     """
     for name, value in values.items():
-        if not np.all(np.isfinite(np.asarray(value, dtype=float))):
+        if isinstance(value, (int, float, np.integer, np.floating)):
+            finite = math.isfinite(value)
+        else:
+            finite = np.all(np.isfinite(np.asarray(value, dtype=float)))
+        if not finite:
             raise InvalidInputError(f"{name} must be finite, got {value!r}")
 
 
 class DegenerateCovarianceError(SqueezesimError):
     """A covariance entry that must be positive is zero or negative."""
-
-
-class DivergenceError(SqueezesimError):
-    """An integration produced a non-finite value.
-
-    Carries the time of failure in ``time``.
-    """
-
-    def __init__(self, message, time):
-        super().__init__(message)
-        self.time = time
 
 
 class OpticallyThickError(SqueezesimError):

@@ -106,9 +106,9 @@ def vacuum_state(
 class TrajectoryRecord:
     """Per-run log: samples, covariances and the measurement stream.
 
-    ``samples`` holds (t, means, observable row) and ``cov_samples`` the
-    covariances (when recorded) at each sample point, both over the
-    atomic block.
+    ``samples`` holds (t, means) and ``cov_samples`` the covariances (when
+    recorded) at each sample point, both over the atomic block; the
+    sampled observables are the run's TimeSeries.
     """
 
     seed: int

@@ -71,17 +71,6 @@ KAPPA_TAU_SQ_MAX = 0.1
 #: Per-slice absorption bound for the segment-local coupling to hold.
 SLICE_EPSILON_MAX = 0.05
 
-NAMED_OBSERVABLES = (
-    "var_p",
-    "min_eig_var",
-    "min_eig_overlap",
-    "var_P_eff",
-    "var_P",
-    "var_theta",
-    "mean_theta",
-)
-
-
 @dataclass(frozen=True)
 class SpreadSpec:
     """Deterministic spread of slice couplings at fixed collective strength.
@@ -204,15 +193,20 @@ class ProbeGroup:
 
     def __post_init__(self):
         object.__setattr__(self, "ax_rows", np.asarray(self.ax_rows, dtype=int))
-        for name in ("kappas_sq", "etas"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            require_finite(**{name: v})
+        rates = {name: np.asarray(getattr(self, name), dtype=float)
+                 for name in ("kappas_sq", "etas")}
+        # one pass over both arrays; only a refusal looks at them one by one
+        both = np.concatenate([v.ravel() for v in rates.values()])
+        if not np.all((both >= 0.0) & (both < math.inf)):
+            for name, v in rates.items():
+                require_finite(**{name: v})
+                if np.any(v < 0):
+                    raise InvalidInputError(f"{name} entries must be nonnegative")
+        for name, v in rates.items():
             if v.shape != self.ax_rows.shape:
                 raise InvalidInputError(
                     f"{name} must have one entry per row in ax_rows"
                 )
-            if np.any(v < 0):
-                raise InvalidInputError(f"{name} entries must be nonnegative")
             object.__setattr__(self, name, v)
         require_finite(epsilon=self.epsilon, transmission=self.transmission)
         if not 0.0 <= self.epsilon < 1.0:
@@ -463,30 +457,26 @@ class RotationPhase:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Executable plan: initial state, phases, observables, sampling."""
+    """Executable plan: initial state, phases, observables, sampling.
+
+    ``sampler`` evaluates the observables; building it, with the scenario,
+    checks them.
+    """
 
     initial_state: GaussianState
     phases: tuple
     observables: tuple
     sample_every: int = 1000
     meta: dict = field(default_factory=dict)
+    sampler: "_Sampler" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sample_every < 1:
             raise InvalidInputError("sample_every must be >= 1")
-        n_vars = 2 * self.initial_state.n_pairs
-        for obs in self.observables:
-            if isinstance(obs, CollectiveVariable):
-                if obs.coefficients.shape != (n_vars,):
-                    raise InvalidInputError(
-                        f"collective variable has {len(obs.coefficients)} "
-                        f"coefficients, the state has {n_vars} atomic variables"
-                    )
-            elif obs not in NAMED_OBSERVABLES:
-                raise InvalidInputError(
-                    f"unknown observable {obs!r}; expected one of "
-                    f"{NAMED_OBSERVABLES} or a CollectiveVariable"
-                )
+        if self.initial_state.n_pairs < 1:
+            raise InvalidInputError("the initial state needs at least one slice")
+        object.__setattr__(self, "sampler",
+                           _Sampler(self.initial_state, self.observables))
 
     @property
     def total_steps(self) -> int:
@@ -552,11 +542,6 @@ class Scenario:
             if isinstance(p, ProbePhase) else None
             for p in self.phases
         )
-
-    @cached_property
-    def sampler(self) -> "_Sampler":
-        """The observables' evaluator, built once per scenario."""
-        return _Sampler(self)
 
 
 def _check_uncertainty(cov_r: np.ndarray, cov_u: np.ndarray):
@@ -711,7 +696,7 @@ def build_thin_inhomogeneous(
     return Scenario(
         initial_state=state,
         phases=(phase,),
-        observables=("min_eig_var", "min_eig_overlap", "var_P_eff", "var_P"),
+        observables=("min_eig_var", "var_P_eff", "var_P"),
         sample_every=sample_every,
         meta={
             "scenario": "thin_inhomogeneous",
@@ -831,7 +816,7 @@ def build_estimation(
     return Scenario(
         initial_state=state,
         phases=(squeeze, rotation, probe),
-        observables=("var_theta", "mean_theta", "var_P_eff"),
+        observables=("var_theta", "mean_theta"),
         sample_every=base.sample_every,
         meta=meta,
     )
@@ -842,32 +827,58 @@ def build_estimation(
 
 
 class _Sampler:
-    """Computes the requested observables from the working state."""
+    """The observables of a scenario: their checks, names and values.
 
-    def __init__(self, scenario: Scenario):
-        state = scenario.initial_state
-        self.obs = scenario.observables
-        self.atom_slice = slice(1 if state.has_theta else 0, None)
+    An observable is one of NAMES or a CollectiveVariable, whose column is
+    named var_cv0, var_cv1, ... in order.  Every check runs here, when the
+    scenario is built: unknown names, a collective variable of the wrong
+    length and theta observables on a state without theta are refused.
+
+    ``row`` reads the runner's two blocks as run holds them: the read block
+    (theta when present, then the p rows) and the unread block (the x
+    rows).  They never correlate, so the smallest eigenvalue of the atomic
+    block is the smaller of theirs, a tie going to the x block (whose
+    eigenvectors have no p part), and a collective variable's variance is
+    the sum of its x part and its p part.
+    """
+
+    NAMES = ("var_p", "min_eig_var", "min_eig_overlap", "var_P_eff", "var_P",
+             "var_theta", "mean_theta")
+
+    def __init__(self, state: GaussianState, observables):
         n = state.n_pairs
-        self.p_rows_local = 2 * np.arange(n) + 1
-        self.sym = np.full(n, 1.0 / math.sqrt(n))
-        self.need_eig = any(
-            o in ("min_eig_var", "min_eig_overlap") for o in self.obs
-        )
-        self.need_vectors = "min_eig_overlap" in self.obs
-        if ("var_theta" in self.obs or "mean_theta" in self.obs) and not state.has_theta:
+        self.obs = tuple(observables)
+        self.names = []
+        custom = 0
+        for o in self.obs:
+            if isinstance(o, CollectiveVariable):
+                if o.coefficients.shape != (2 * n,):
+                    raise InvalidInputError(
+                        f"collective variable has {len(o.coefficients)} "
+                        f"coefficients, the state has {2 * n} atomic variables"
+                    )
+                self.names.append(f"var_cv{custom}")
+                custom += 1
+            elif o not in self.NAMES:
+                raise InvalidInputError(
+                    f"unknown observable {o!r}; expected one of "
+                    f"{self.NAMES} or a CollectiveVariable"
+                )
+            else:
+                self.names.append(o)
+        if not state.has_theta and {"var_theta", "mean_theta"} & set(self.names):
             raise InvalidInputError("theta observables need a theta variable")
+        self.p0 = int(state.has_theta)  # first p row of the read block
+        self.sym = np.full(n, 1.0 / math.sqrt(n))
+        self.need_eig = bool({"min_eig_var", "min_eig_overlap"} & set(self.names))
+        self.need_vectors = "min_eig_overlap" in self.names
 
-    def row(self, cov, mean, kappa_weights) -> tuple:
-        block = cov[self.atom_slice, self.atom_slice]
-        p = self.p_rows_local
+    def row(self, cov_r, mean_r, cov_u, kappa_weights) -> tuple:
+        p = cov_r[self.p0 :, self.p0 :]
         eig_val = eig_p = None
         if self.need_eig:
-            # the x rows and the p rows never correlate, so each block is
-            # solved alone; a tie goes to the x block, which leads the
-            # interleaved layout, and an x eigenvector has no p part
-            w_x, _ = sym_eig_all(block[::2, ::2], vectors=False)
-            w_p, v_p = sym_eig_all(block[1::2, 1::2], vectors=self.need_vectors)
+            w_x, _ = sym_eig_all(cov_u, vectors=False)
+            w_p, v_p = sym_eig_all(p, vectors=self.need_vectors)
             eig_val = float(min(w_x[0], w_p[0])) / 2.0
             if self.need_vectors and w_p[0] < w_x[0]:
                 eig_p = v_p[:, 0]
@@ -876,10 +887,10 @@ class _Sampler:
         out = []
         for o in self.obs:
             if isinstance(o, CollectiveVariable):
-                c = o.coefficients
-                out.append(float(c @ block @ c) / 2.0)
+                cx, cp = o.coefficients[::2], o.coefficients[1::2]
+                out.append(float(cx @ cov_u @ cx + cp @ p @ cp) / 2.0)
             elif o == "var_p":
-                out.append(float(block[1, 1]) / 2.0)
+                out.append(float(p[0, 0]) / 2.0)
             elif o == "min_eig_var":
                 out.append(eig_val)
             elif o == "min_eig_overlap":
@@ -891,28 +902,14 @@ class _Sampler:
                 if weights is None:
                     out.append(float("nan"))
                 else:
-                    sub = block[np.ix_(p, p)]
-                    out.append(float(weights @ sub @ weights) / 2.0)
+                    out.append(float(weights @ p @ weights) / 2.0)
             elif o == "var_P":
-                sub = block[np.ix_(p, p)]
-                out.append(float(self.sym @ sub @ self.sym) / 2.0)
+                out.append(float(self.sym @ p @ self.sym) / 2.0)
             elif o == "var_theta":
-                out.append(float(cov[0, 0]) / 2.0)
+                out.append(float(cov_r[0, 0]) / 2.0)
             elif o == "mean_theta":
-                out.append(float(mean[0]))
+                out.append(float(mean_r[0]))
         return tuple(out)
-
-
-def _column_names(observables) -> list[str]:
-    names = []
-    custom = 0
-    for o in observables:
-        if isinstance(o, CollectiveVariable):
-            names.append(f"var_cv{custom}")
-            custom += 1
-        else:
-            names.append(o)
-    return names
 
 
 def _ramp(start, factor, rows):
@@ -1136,13 +1133,15 @@ def run(
     drawn measurement deviations.  Every detection deviation is
     chi = sqrt(bxx) * z, with bxx the covariance entry of the detected
     quadrature and z drawn as Normal(0, 1/2) from a PCG64 stream seeded
-    with ``seed``.  Recorded means and covariances are those of the
-    initial state's variables, the atomic block with theta when present.
+    with ``seed``.  The trajectory records (t, means) at each sample point,
+    over the initial state's variables (the atomic block with theta when
+    present), and the covariances too with ``record_cov``.
 
     The atomic block is kept as two blocks that no step couples: the read
     block (theta and the p rows) takes the per-step Kalman updates, the
     unread block (the x rows) advances in closed form once per chunk of
-    steps, and the full block is assembled only at sample points.  A
+    steps.  The observables are read from the two blocks (_Sampler); the
+    full covariance is assembled only when ``record_cov`` asks for it.  A
     one-row read block takes a whole chunk's updates in one prefix scan of
     the scalar Riccati recursion, a wider one KALMAN_BLOCK steps at a time
     in one Cholesky factorization; a failed factorization raises
@@ -1156,7 +1155,6 @@ def run(
     read, unread = _block_rows(m)
     rng = np.random.default_rng(seed)
     sampler = scenario.sampler
-    names = _column_names(scenario.observables)
     times: list[float] = []
     rows: list[tuple] = []
     traj = TrajectoryRecord(seed=seed)
@@ -1166,17 +1164,16 @@ def run(
     se = scenario.sample_every
 
     def sample(t, kappas):
-        cov = np.zeros((m, m))
-        cov[read, read] = cov_r
-        cov[unread, unread] = cov_u
+        times.append(t)
+        rows.append(sampler.row(cov_r, mean_r, cov_u, kappas))
         mean = np.empty(m)
         mean[read] = mean_r
         mean[unread] = mean_u
-        r = sampler.row(cov, mean, kappas)
-        times.append(t)
-        rows.append(r)
-        traj.samples.append((t, mean, r))
+        traj.samples.append((t, mean))
         if record_cov:
+            cov = np.zeros((m, m))
+            cov[read, read] = cov_r
+            cov[unread, unread] = cov_u
             traj.cov_samples.append(cov)
 
     k = 0
@@ -1224,5 +1221,6 @@ def run(
         traj.measurement_times = np.concatenate(m_times)
         traj.chis = np.concatenate(m_chis)
         traj.outcomes = np.concatenate(m_outs)
-    cols = {name: np.array([r[i] for r in rows]) for i, name in enumerate(names)}
+    cols = {name: np.array([r[i] for r in rows])
+            for i, name in enumerate(sampler.names)}
     return TimeSeries(times=np.array(times), columns=cols), traj

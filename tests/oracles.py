@@ -20,14 +20,21 @@ from fractions import Fraction
 
 import numpy as np
 
-from squeezesim.errors import (
-    DegenerateCovarianceError,
-    DivergenceError,
-    InvalidInputError,
-)
+from squeezesim.errors import DegenerateCovarianceError, InvalidInputError
 from squeezesim.gaussian_core import GaussianState
 
 LIGHT = "light"
+
+
+class DivergenceError(ArithmeticError):
+    """An integration produced a non-finite value.
+
+    Carries the time of failure in ``time``.
+    """
+
+    def __init__(self, message, time):
+        super().__init__(message)
+        self.time = time
 
 
 def char_poly_min_eig(m: np.ndarray) -> float:

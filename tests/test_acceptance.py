@@ -7,6 +7,7 @@ references in the unit tests), plus direct reference implementations in
 ``oracles``.
 """
 
+import dataclasses
 import math
 import time
 
@@ -164,6 +165,8 @@ def test_criterion_5_thin_inhomogeneous():
         sc = sq.build_thin_inhomogeneous(
             spread, 10, NOISY, tau=TAU, t_end=3e-3, sample_every=2000
         )
+        sc = dataclasses.replace(
+            sc, observables=sc.observables + ("min_eig_overlap",))
         ts, _ = sq.run(sc, seed=0)
         curves[delta] = (ts, np.sqrt(np.array(sc.meta["slice_kappas_sq"])))
     ts1, kap1 = curves[0.1]

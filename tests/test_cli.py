@@ -141,11 +141,29 @@ class TestRunCommand:
         rows = (tmp_path / "homogeneous.csv").read_text().strip().split("\n")
         assert len(rows) - 1 == 2000 // 200 + 1
 
-    def test_zero_duration_header_only(self, tmp_path):
-        cfg = parse_config(cfg_text(t_end=0.0, output_dir=str(tmp_path)))
+    #: The CSV header of each scenario, as the README states it.
+    HEADERS = {
+        "homogeneous": "t_seconds,var_p,var_p_analytic",
+        "thin_inhomogeneous": "t_seconds,min_eig_var,var_P_eff,var_P,var_p_analytic",
+        "thick": "t_seconds,min_eig_var,var_P_eff",
+        "estimation": "t_seconds,var_theta,mean_theta",
+    }
+
+    @pytest.mark.parametrize("scenario", HEADERS)
+    def test_zero_duration_header_only(self, tmp_path, scenario):
+        """Each scenario writes the README's header.  An estimation run must
+        probe past t2, so it is the one that cannot be header-only."""
+        header = self.HEADERS[scenario]
+        est = {"t1": 0.0, "t2": 0.0, "alpha": 1.0}
+        t_end = 1e-6 if scenario == "estimation" else 0.0
+        cfg = parse_config(cfg_text(scenario=scenario, t_end=t_end, n_slices=3,
+                                    estimation=est, output_dir=str(tmp_path)))
         assert run_command(cfg) == 0
-        content = (tmp_path / "homogeneous.csv").read_text()
-        assert content == "t_seconds,var_p,var_p_analytic\n"
+        content = (tmp_path / f"{scenario}.csv").read_text()
+        if t_end == 0.0:
+            assert content == header + "\n"
+        else:
+            assert content.split("\n")[0] == header
 
     def test_invalid_tau_nonzero_exit(self, tmp_path, capsys):
         cfg = parse_config(cfg_text(tau=1e-6, output_dir=str(tmp_path)))

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from squeezesim.errors import DivergenceError, InvalidInputError
+from squeezesim.errors import InvalidInputError
 from squeezesim.numerics import sym_eig_all
 
-from oracles import char_poly_min_eig, integrate_scalar_ode
+from oracles import DivergenceError, char_poly_min_eig, integrate_scalar_ode
 
 
 def sym_eig_min(m):

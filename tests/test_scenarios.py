@@ -240,7 +240,7 @@ class TestThick:
         _, tr_h = run(sc_hom, seed=5, record_cov=True)
         for a, b in zip(tr_t.cov_samples, tr_h.cov_samples, strict=True):
             assert np.array_equal(a, b)
-        for (_, a, _), (_, b, _) in zip(tr_t.samples, tr_h.samples, strict=True):
+        for (_, a), (_, b) in zip(tr_t.samples, tr_h.samples, strict=True):
             assert np.array_equal(a, b)
         assert np.array_equal(tr_t.chis, tr_h.chis)
         assert np.array_equal(tr_t.outcomes, tr_h.outcomes)
@@ -312,8 +312,8 @@ class TestEstimation:
         ts, traj = run(sc, seed=1, record_cov=True)
         assert len(traj.cov_samples) == len(traj.samples) == len(ts.times) == 5
         assert all(cov.shape == (m, m) for cov in traj.cov_samples)
-        assert all(mean.shape == (m,) for _, mean, _ in traj.samples)
-        assert [mean[0] for _, mean, _ in traj.samples] == list(
+        assert all(mean.shape == (m,) for _, mean in traj.samples)
+        assert [mean[0] for _, mean in traj.samples] == list(
             ts.columns["mean_theta"])
         assert [cov[0, 0] / 2.0 for cov in traj.cov_samples] == list(
             ts.columns["var_theta"])
@@ -437,7 +437,7 @@ class TestRunnerDensePathEquivalence:
             if done % sc.sample_every == 0:
                 dense.setdefault(done, state)
         assert len(dense) == len(traj.cov_samples) >= 2
-        for state, cov, (_, mean, _) in zip(
+        for state, cov, (_, mean) in zip(
                 dense.values(), traj.cov_samples, traj.samples):
             self._assert_matches(cov, mean, state)
         return traj
@@ -744,7 +744,7 @@ class TestDetectionStatistics:
         np.testing.assert_allclose(traj.measurement_times, 1e-8 * np.arange(1, 41),
                                    rtol=1e-15, atol=0)
         kappa = math.sqrt(1.83e6 * 1e-8)
-        pre = kappa * np.array([mean[1] for _, mean, _ in traj.samples[:-1]])
+        pre = kappa * np.array([mean[1] for _, mean in traj.samples[:-1]])
         np.testing.assert_allclose(traj.outcomes - traj.chis, pre, rtol=1e-12,
                                    atol=1e-14)
 
@@ -925,6 +925,17 @@ class TestScenarioShape:
                 initial_state=sc.initial_state, phases=sc.phases,
                 observables=("var_q",),
             )
+
+    @pytest.mark.parametrize("name", ["var_theta", "mean_theta"])
+    def test_theta_observables_need_theta_refused_at_construction(self, name):
+        with pytest.raises(InvalidInputError, match="need a theta variable"):
+            Scenario(vacuum_state(standard_labels(2)), (), (name,))
+
+    def test_state_without_slices_refused_at_construction(self):
+        """A theta-only state is refused before run gets to sample it."""
+        with pytest.raises(InvalidInputError, match="at least one slice"):
+            run(Scenario(initial_state=vacuum_state(standard_labels(0, theta=True)),
+                         phases=(), observables=()))
 
     def test_probe_phase_step_count(self):
         phase = ProbePhase(duration=1e-5, tau=1e-8, groups=())
