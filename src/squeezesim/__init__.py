@@ -39,7 +39,6 @@ from .gaussian_core import (
     GaussianState,
     TimeSeries,
     TrajectoryRecord,
-    standard_labels,
     vacuum_state,
 )
 from .physics import (

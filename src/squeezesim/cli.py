@@ -154,6 +154,15 @@ class RunConfig:
     raw: dict = field(default_factory=dict)
 
 
+#: RunConfig fields a config sets by the key of the same name, with the
+#: conversion each takes (None: as given); a key the config leaves out keeps
+#: the field's default.
+_RUN_FIELDS = {"tau": float, "t_end": float, "seed": int, "sample_every": int,
+               "n_slices": int, "delta": float, "spread_mode": None,
+               "eta_mode": None, "per_slice_epsilon": None, "estimation": dict,
+               "sweep": dict}
+
+
 def _check_keys(tree: dict, schema: dict, path: str = ""):
     for key, val in tree.items():
         here = f"{path}.{key}" if path else key
@@ -262,24 +271,10 @@ def parse_config(text: str) -> RunConfig:
             if req not in est:
                 raise ParseError(f"missing key estimation.{req}")
     out_dir = Path(tree["output_dir"]) if "output_dir" in tree else default_output_dir()
-    return RunConfig(
-        scenario=tree["scenario"],
-        rates=rates,
-        physical=physical,
-        tau=float(tree.get("tau", 1e-8)),
-        t_end=float(tree.get("t_end", 3e-3)),
-        seed=int(tree.get("seed", 0)),
-        sample_every=int(tree.get("sample_every", 1000)),
-        n_slices=int(tree.get("n_slices", 10)),
-        delta=float(tree.get("delta", 0.0)),
-        spread_mode=tree.get("spread_mode", "grid"),
-        eta_mode=tree.get("eta_mode", "uniform"),
-        per_slice_epsilon=tree.get("per_slice_epsilon"),
-        estimation=dict(tree.get("estimation", {})),
-        output_dir=out_dir,
-        sweep=dict(tree.get("sweep", {})),
-        raw=tree,
-    )
+    given = {key: tree[key] if conv is None else conv(tree[key])
+             for key, conv in _RUN_FIELDS.items() if key in tree}
+    return RunConfig(scenario=tree["scenario"], rates=rates, physical=physical,
+                     output_dir=out_dir, raw=tree, **given)
 
 
 def _estimation_alphas(est_block: dict, kappas_sq: np.ndarray):

@@ -11,14 +11,15 @@ build_homogeneous, build_thin_inhomogeneous and build_thick.
 build_estimation takes a scenario from any of them and cuts its probe
 phase around the rotation.
 
-A probe phase holds ProbeGroups, each no more than the slices it couples
-and their rates: the coupling kappa^2 and decay rate eta each slice sees,
-the group's absorption epsilon and the transmission of the beam reaching
-it.  The probe pair is fresh vacuum at the start of every step and spent
-at its end, so neither the state nor the records carry it: each probe
-phase folds its groups' rates into one BeamSegment (cached per scenario
-in Scenario.segments), a map of the atomic block followed by a rank-1
-Kalman update for the detection.  The probe reads only theta and the p
+A probe phase holds ProbeGroups, each no more than the rates of the slices
+it couples: the coupling kappa^2 and decay rate eta each slice sees, the
+group's absorption epsilon and the transmission of the beam reaching it.
+The groups take the slices in order, each the next len(kappas_sq) of them,
+so together they cover every slice once.  The probe pair is fresh vacuum
+at the start of every step and spent at its end, so neither the state nor
+the records carry it: each probe phase folds its groups' rates into one
+BeamSegment (cached per scenario in Scenario.segments), a map of the
+atomic block followed by a rank-1 Kalman update for the detection.  The probe reads only theta and the p
 rows, and the map never couples them to the x rows, so the runner keeps
 two blocks: the read block takes the Kalman update every step, and the
 unread x block advances once per chunk of steps in closed form.  No
@@ -55,12 +56,9 @@ from .errors import (
 )
 from .gaussian_core import (
     CHI_STD,
-    THETA,
     GaussianState,
     TimeSeries,
     TrajectoryRecord,
-    _impulse_inplace,
-    standard_labels,
     vacuum_state,
 )
 from .numerics import sym_eig_all
@@ -175,24 +173,22 @@ class SliceConfig:
 
 @dataclass(frozen=True)
 class ProbeGroup:
-    """One simultaneous coupling of a set of slices to the light.
+    """One simultaneous coupling of a run of slices to the light.
 
-    ``ax_rows`` are the x-variable indices of the coupled slices (each
-    slice's p variable follows its x).  ``kappas_sq`` and ``etas`` are the
+    The group couples the next len(kappas_sq) slices after those of the
+    groups before it in its phase.  ``kappas_sq`` and ``etas`` are the
     coupling and decay rate each slice sees at the start of probing,
     ``epsilon`` the absorption the group inflicts on the beam, and
     ``transmission`` the fraction of the beam intensity that reaches it,
     which amplifies the photon noise the group adds by 1 / transmission.
     """
 
-    ax_rows: np.ndarray
     kappas_sq: np.ndarray
     etas: np.ndarray
     epsilon: float = 0.0
     transmission: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "ax_rows", np.asarray(self.ax_rows, dtype=int))
         rates = {name: np.asarray(getattr(self, name), dtype=float)
                  for name in ("kappas_sq", "etas")}
         # one pass over both arrays; only a refusal looks at them one by one
@@ -202,12 +198,14 @@ class ProbeGroup:
                 require_finite(**{name: v})
                 if np.any(v < 0):
                     raise InvalidInputError(f"{name} entries must be nonnegative")
-        for name, v in rates.items():
-            if v.shape != self.ax_rows.shape:
-                raise InvalidInputError(
-                    f"{name} must have one entry per row in ax_rows"
-                )
-            object.__setattr__(self, name, v)
+        k, e = rates["kappas_sq"], rates["etas"]
+        if k.ndim != 1 or e.shape != k.shape:
+            raise InvalidInputError(
+                "kappas_sq must have one entry per slice and etas must have "
+                f"one entry per slice, got shapes {k.shape} and {e.shape}"
+            )
+        object.__setattr__(self, "kappas_sq", k)
+        object.__setattr__(self, "etas", e)
         require_finite(epsilon=self.epsilon, transmission=self.transmission)
         if not 0.0 <= self.epsilon < 1.0:
             raise InvalidInputError("epsilon must lie in [0, 1)")
@@ -311,27 +309,26 @@ class BeamSegment:
         with sqrt(kappa^2 tau) exp(-eta t / 2) and damps its two rows by
         sqrt(1 - eta tau) while feeding them noise 2 eta tau exp(eta t); a
         group damps the light by sqrt(1 - epsilon) and adds epsilon /
-        transmission of noise to it.  Each group may couple only x rows
-        (with their p rows), each slice at most once, and eta tau must stay
+        transmission of noise to it.  The groups take the slices in order,
+        so their sizes must add up to the slice count, and eta tau must stay
         below one.
         """
         read, unread = _block_rows(m)
-        sizes = [len(g.ax_rows) for g in groups]
+        ax = np.arange(m % 2, m, 2)
+        sizes = [len(g.kappas_sq) for g in groups]
+        if sum(sizes) != len(ax):
+            raise InvalidInputError(
+                f"the groups couple {sum(sizes)} slices, the state has {len(ax)}"
+            )
         owner = np.repeat(np.arange(len(groups)), sizes)
-        ax, kappas_sq, etas = (
-            np.concatenate([getattr(g, name) for g in groups] or [np.empty(0)])
-            for name in ("ax_rows", "kappas_sq", "etas"))
-        ax = ax.astype(int)
-        first = np.unique(ax, return_index=True)[1]
-        again = np.ones(len(ax), dtype=bool)
-        again[first] = False
+        kappas_sq, etas = (np.concatenate([getattr(g, name) for g in groups])
+                           for name in ("kappas_sq", "etas"))
         eta_tau = etas * tau
-        for bad, what in (((ax < 0) | (ax >= m) | (ax % 2 != m % 2),
-                           " couples rows that are not x rows"),
-                          (again, " couples a slice already coupled"),
-                          (eta_tau >= 1.0, ": eta * tau must be below 1")):
-            if bad.any():
-                raise InvalidInputError(f"group {owner[np.argmax(bad)]}{what}")
+        bad = eta_tau >= 1.0
+        if bad.any():
+            raise InvalidInputError(
+                f"group {owner[np.argmax(bad)]}: eta * tau must be below 1"
+            )
         # the light, group by group in beam order: the transmission and the
         # variance of each quadrature reaching the group; the read-out of a
         # slice is damped by its own group and every later one
@@ -432,19 +429,17 @@ class ProbePhase:
 
 @dataclass(frozen=True)
 class RotationPhase:
-    """Impulsive displacement p_i -> p_i + alpha_i * theta.
+    """Impulsive displacement p_i -> p_i + alpha_i * theta of every slice i.
 
     The dark interval [t1, t2] has no other dynamics, so the accumulated
     rotation is applied as one transform and the duration only advances the
-    clock.
+    clock.  ``alphas`` holds one lever arm per slice.
     """
 
     duration: float
-    targets: np.ndarray
     alphas: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "targets", np.asarray(self.targets, dtype=int))
         object.__setattr__(self, "alphas", np.asarray(self.alphas, dtype=float))
         require_finite(duration=self.duration, alphas=self.alphas)
         if self.duration < 0:
@@ -488,12 +483,12 @@ class Scenario:
 
         (read covariance, read means, unread covariance, unread means); see
         run.  Refuses a state that correlates the x rows with the p rows or
-        theta, and a rotation other than a shear of p rows by theta: the
-        split cannot represent them.  Refuses a non-physical state too: a
-        theta variance that is not positive, an (x, p) pair with
-        gamma_xx <= 0 or gamma_xx gamma_pp below one (to round-off), and
-        then any state that breaks gamma + i Omega >= 0 as a whole
-        (_check_uncertainty).  An accepted state keeps the read-out
+        theta, which the split cannot represent, and a rotation on a state
+        without theta or without one lever arm per slice.  Refuses a
+        non-physical state too: a theta variance that is not positive, an
+        (x, p) pair with gamma_xx <= 0 or gamma_xx gamma_pp below one (to
+        round-off), and then any state that breaks gamma + i Omega >= 0 as
+        a whole (_check_uncertainty).  An accepted state keeps the read-out
         covariance of every block of measured steps positive definite, so
         the runner's Cholesky factors exist.
         """
@@ -520,12 +515,15 @@ class Scenario:
                 f"gamma_xx = {xx[i]}, gamma_xx gamma_pp = {det[i]} "
                 "(need gamma_xx > 0 and gamma_xx gamma_pp >= 1)"
             )
-        read_rows = np.arange(m)[read]
         for phase in self.phases:
-            if isinstance(phase, RotationPhase) and not (
-                    m % 2 and np.all(np.isin(phase.targets, read_rows))):
+            if not isinstance(phase, RotationPhase):
+                continue
+            if not state.has_theta:
+                raise InvalidInputError("a rotation needs a theta variable")
+            if phase.alphas.shape != (state.n_pairs,):
                 raise InvalidInputError(
-                    "a rotation must shear p rows or theta by a theta variable"
+                    f"a rotation needs one alpha per slice ({state.n_pairs}), "
+                    f"got {phase.alphas.size}"
                 )
         cov_r, cov_u = cov[read, read], cov[unread, unread]
         cov_r, cov_u = (cov_r + cov_r.T) / 2.0, (cov_u + cov_u.T) / 2.0
@@ -612,8 +610,7 @@ def _thin_groups(
     kappas_sq: np.ndarray, etas: np.ndarray, epsilon: float
 ) -> tuple[ProbeGroup, ...]:
     """Single group: every slice couples to the beam segment simultaneously."""
-    ax_rows = 2 * np.arange(len(kappas_sq))
-    return (ProbeGroup(ax_rows, kappas_sq, etas, epsilon),)
+    return (ProbeGroup(kappas_sq, etas, epsilon),)
 
 
 def _thick_groups(slices: SliceConfig) -> tuple[ProbeGroup, ...]:
@@ -630,7 +627,7 @@ def _thick_groups(slices: SliceConfig) -> tuple[ProbeGroup, ...]:
     for i, eps in enumerate(slices.epsilons.tolist()):
         row = slice(i, i + 1)
         groups.append(ProbeGroup(
-            [2 * i], slices.kappas_sq[row] * transmission,
+            slices.kappas_sq[row] * transmission,
             slices.etas[row] * transmission, eps, transmission,
         ))
         transmission *= math.exp(-eps)
@@ -647,7 +644,7 @@ def build_homogeneous(
     """Uniformly coupled ensemble probed and detected segment by segment."""
     _check_validity(rates.kappa_sq, tau)
     _check_thin_epsilon(rates.epsilon)
-    state = vacuum_state(standard_labels(1))
+    state = vacuum_state(1)
     groups = _thin_groups(
         np.array([rates.kappa_sq]), np.array([rates.eta]), rates.epsilon
     )
@@ -690,7 +687,7 @@ def build_thin_inhomogeneous(
     floor upward by roughly delta^2/3 in relative terms.
     """
     kappas_sq, etas = _slice_rates(spread, n, rates, tau, eta_mode, rng)
-    state = vacuum_state(standard_labels(n))
+    state = vacuum_state(n)
     groups = _thin_groups(kappas_sq, etas, rates.epsilon)
     phase = ProbePhase(duration=t_end, tau=tau, groups=groups)
     return Scenario(
@@ -727,7 +724,7 @@ def build_thick(
     reproduces the homogeneous scenario exactly.
     """
     _check_validity(float(np.max(slices.kappas_sq)), tau)
-    state = vacuum_state(standard_labels(slices.n_slices))
+    state = vacuum_state(slices.n_slices)
     groups = _thick_groups(slices)
     phase = ProbePhase(duration=t_end, tau=tau, groups=groups)
     return Scenario(
@@ -791,15 +788,10 @@ def build_estimation(
     cov = np.zeros((m, m))
     cov[0, 0] = 2.0 * est.var_theta0
     cov[1:, 1:] = state0.cov
-    state = GaussianState((THETA,) + state0.labels,
-                          np.concatenate(([est.theta_true], state0.mean)), cov)
-    groups = tuple(replace(g, ax_rows=g.ax_rows + 1) for g in phase.groups)
-    squeeze = replace(phase, duration=est.t1, groups=groups)
-    rotation = RotationPhase(
-        duration=est.t2 - est.t1,
-        targets=2 + 2 * np.arange(n),
-        alphas=alphas,
-    )
+    state = GaussianState(np.concatenate(([est.theta_true], state0.mean)), cov,
+                          has_theta=True)
+    squeeze = replace(phase, duration=est.t1)
+    rotation = RotationPhase(duration=est.t2 - est.t1, alphas=alphas)
     probe = replace(squeeze, duration=phase.duration - est.t2, t_start=est.t1)
     meta = dict(base.meta)
     meta["base_scenario"] = meta.pop("scenario", None)
@@ -981,6 +973,20 @@ def _open_chunk(cov, mean, block: _BlockRun, n: int, back: bool, spread=None):
         cov += gram
 
 
+def _theta_shear(cov, mean, alphas):
+    """Shear the p rows of the read block by alphas * theta (and columns).
+
+    With u = (0, alphas), S = 1 + u e_0^T maps cov to S cov S^T = cov +
+    (u c^T + c u^T) + cov[0, 0] u u^T, c the theta column.  Each term is
+    symmetric entry by entry, so a symmetric cov stays exactly symmetric.
+    """
+    u = np.zeros(cov.shape[0])
+    u[1:] = alphas
+    cross = np.outer(u, cov[:, 0])
+    cov += (cross + cross.T) + cov[0, 0] * np.outer(u, u)
+    mean += u * mean[0]
+
+
 def _riccati_scan(g0: float, c: np.ndarray, q) -> np.ndarray:
     """G_0..G_n of the scalar Riccati G -> G / (1 + c_j G) + q_j.
 
@@ -1147,8 +1153,8 @@ def run(
     in one Cholesky factorization; a failed factorization raises
     DegenerateCovarianceError naming the block's first step.  The initial
     state must be physical (gamma + i Omega >= 0) and must not correlate
-    the two blocks, and a rotation must shear p rows by theta (see
-    Scenario.blocks).
+    the two blocks, and a rotation needs theta and one lever arm per slice
+    (see Scenario.blocks).
     """
     m = scenario.initial_state.dim
     cov_r, mean_r, cov_u, mean_u = (a.copy() for a in scenario.blocks)
@@ -1178,14 +1184,11 @@ def run(
 
     k = 0
     t = 0.0
-    phases = tuple(zip(scenario.phases, scenario.segments))
     if scenario.total_steps > 0:
-        sample(0.0, next((seg.kappas0 for p, seg in phases
-                          if seg is not None and p.groups), np.empty(0)))
-    for phase, seg in phases:
+        sample(0.0, next(s.kappas0 for s in scenario.segments if s is not None))
+    for phase, seg in zip(scenario.phases, scenario.segments):
         if isinstance(phase, RotationPhase):
-            targets = (phase.targets - read.start) // 2
-            _impulse_inplace(cov_r, mean_r, targets, phase.alphas, 0)
+            _theta_shear(cov_r, mean_r, phase.alphas)
             t += phase.duration
             continue
         n_steps = phase.n_steps

@@ -15,15 +15,13 @@ of the state (``with_light``), couples it, and then measures it
 fresh vacuum in its place.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
 from squeezesim.errors import DegenerateCovarianceError, InvalidInputError
 from squeezesim.gaussian_core import GaussianState
-
-LIGHT = "light"
 
 
 class DivergenceError(ArithmeticError):
@@ -153,7 +151,7 @@ def with_light(state: GaussianState) -> GaussianState:
     cov = np.eye(m + 2)
     cov[:m, :m] = state.cov
     mean = np.append(state.mean, [0.0, 0.0])
-    return GaussianState(state.labels + (LIGHT,), mean, cov)
+    return GaussianState(mean, cov, state.has_theta)
 
 
 @dataclass(frozen=True)
@@ -220,7 +218,7 @@ def apply_step(state: GaussianState, step: StepOperators) -> GaussianState:
     noise = step.atom_prefactor * step.m + step.light_prefactor * step.n
     cov.ravel()[:: state.dim + 1] += noise
     # the product leaves round-off asymmetry; (a + a^T) / 2 removes it
-    return GaussianState(state.labels, ls @ state.mean, (cov + cov.T) * 0.5)
+    return replace(state, mean=ls @ state.mean, cov=(cov + cov.T) * 0.5)
 
 
 def measure_light_x(state: GaussianState, chi: float) -> tuple[GaussianState, float]:
@@ -244,7 +242,7 @@ def measure_light_x(state: GaussianState, chi: float) -> tuple[GaussianState, fl
     g = cov[:d2, d2]
     cov[:d2, :d2] -= np.outer(g, g) / bxx
     mean[:d2] += g * (chi / bxx)
-    conditioned = GaussianState(state.labels, mean, (cov + cov.T) * 0.5)
+    conditioned = replace(state, mean=mean, cov=(cov + cov.T) * 0.5)
     return trace_out_light(conditioned), outcome
 
 
@@ -257,7 +255,7 @@ def trace_out_light(state: GaussianState) -> GaussianState:
     cov[d2, d2] = cov[d2 + 1, d2 + 1] = 1.0
     mean = state.mean.copy()
     mean[d2:] = 0.0
-    return GaussianState(state.labels, mean, cov)
+    return replace(state, mean=mean, cov=cov)
 
 
 def probe_step_operators(phase, dim: int, k: int) -> list:
@@ -266,30 +264,35 @@ def probe_step_operators(phase, dim: int, k: int) -> list:
     Couplings and noise floors are their start-of-phase values at
     ``phase.t_start`` times the per-step factors exp(-eta tau / 2) and
     exp(eta tau) raised to k; the light pair is the final two variables.
+    The groups take the slices in order, the first slice's x row after
+    theta when present.
     """
     tau = phase.tau
     x, p = dim - 2, dim - 1
     ops = []
+    start = dim % 2
     for g in phase.groups:
+        ax_rows = start + 2 * np.arange(len(g.kappas_sq))
+        start += 2 * len(g.kappas_sq)
         eta_tau = g.etas * tau
         kappas = (np.sqrt(g.kappas_sq * tau) * np.exp(-g.etas * phase.t_start / 2.0)
                   * np.exp(-eta_tau / 2.0) ** k)
         floors = 2.0 * eta_tau * np.exp(g.etas * phase.t_start) * np.exp(eta_tau) ** k
         s = np.eye(dim)
-        s[g.ax_rows, p] = kappas
-        s[x, g.ax_rows + 1] = kappas
+        s[ax_rows, p] = kappas
+        s[x, ax_rows + 1] = kappas
         loss = np.ones(dim)
-        loss[g.ax_rows] = loss[g.ax_rows + 1] = np.sqrt(1.0 - eta_tau)
+        loss[ax_rows] = loss[ax_rows + 1] = np.sqrt(1.0 - eta_tau)
         loss[[x, p]] = np.sqrt(1.0 - g.epsilon)
         m = np.zeros(dim)
         n = np.zeros(dim)
         n[[x, p]] = g.epsilon
-        if len(g.ax_rows) == 1 and eta_tau[0] > 0.0:
+        if len(ax_rows) == 1 and eta_tau[0] > 0.0:
             # single slice: the growing noise floor rides on the prefactor
-            m[g.ax_rows] = m[g.ax_rows + 1] = eta_tau
+            m[ax_rows] = m[ax_rows + 1] = eta_tau
             atom_prefactor = float(floors[0] / eta_tau[0])
         else:
-            m[g.ax_rows] = m[g.ax_rows + 1] = floors / 2.0
+            m[ax_rows] = m[ax_rows + 1] = floors / 2.0
             atom_prefactor = 2.0
         ops.append(StepOperators(s=s, l=loss, m=m, n=n, atom_prefactor=atom_prefactor,
                                  light_prefactor=1.0 / g.transmission))
@@ -297,7 +300,10 @@ def probe_step_operators(phase, dim: int, k: int) -> list:
 
 
 def rotation_step_operators(phase, dim: int) -> StepOperators:
-    """The impulse p_i -> p_i + alpha_i theta as one dense operator."""
+    """The impulse p_i -> p_i + alpha_i theta as one dense operator.
+
+    theta is variable 0 and slice i's p row is 2 + 2 i.
+    """
     s = np.eye(dim)
-    s[phase.targets, 0] = phase.alphas
+    s[2 + 2 * np.arange(len(phase.alphas)), 0] = phase.alphas
     return StepOperators(s=s, l=np.ones(dim), m=np.zeros(dim), n=np.zeros(dim))

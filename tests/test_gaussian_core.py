@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,29 +6,27 @@ import pytest
 
 from squeezesim.analytic import CollectiveVariable
 from squeezesim.errors import DegenerateCovarianceError, InvalidInputError
-from squeezesim.gaussian_core import (
-    GaussianState,
-    _impulse_inplace,
-    standard_labels,
-    vacuum_state,
-)
-from squeezesim.scenarios import ProbeGroup, ProbePhase, Scenario, run
+from squeezesim.gaussian_core import GaussianState, vacuum_state
+from squeezesim.scenarios import ProbeGroup, ProbePhase, Scenario, _theta_shear, run
 
 from oracles import StepOperators, apply_step, measure_light_x, with_light
 
 
 def light_vacuum(n):
     """Vacuum over n slices with the probe pair the dense path carries."""
-    return with_light(vacuum_state(standard_labels(n)))
+    return with_light(vacuum_state(n))
 
 
 def probe_once(n, kappa_tau_sq, observables):
     """Sampled columns of one measured step coupling slice 1 of n vacuum
-    slices at kappa^2 tau = ``kappa_tau_sq`` (0 leaves the state as it is)."""
+    slices at kappa^2 tau = ``kappa_tau_sq`` (0 leaves the state as it is);
+    the other slices couple with zero strength."""
     tau = 1e-8
-    group = ProbeGroup([0], [kappa_tau_sq / tau], [0.0])
+    kappas_sq = np.zeros(n)
+    kappas_sq[0] = kappa_tau_sq / tau
+    group = ProbeGroup(kappas_sq, np.zeros(n))
     phase = ProbePhase(duration=tau, tau=tau, groups=(group,))
-    sc = Scenario(vacuum_state(standard_labels(n)), (phase,), observables,
+    sc = Scenario(vacuum_state(n), (phase,), observables,
                   sample_every=1)
     ts, _ = run(sc, seed=0)
     return ts.columns
@@ -61,7 +60,7 @@ COUPLED_COV = np.array(
 
 class TestVacuumState:
     def test_single_pair_plus_light(self):
-        assert vacuum_state(standard_labels(1)).dim == 2
+        assert vacuum_state(1).dim == 2
         st = light_vacuum(1)
         assert st.dim == 4
         assert np.array_equal(st.cov, np.eye(4))
@@ -69,19 +68,21 @@ class TestVacuumState:
         assert st.cov[1, 1] / 2.0 == 0.5
 
     def test_ten_slices(self):
-        st = vacuum_state(standard_labels(10))
+        st = vacuum_state(10)
         assert st.dim == 20
         assert np.array_equal(st.cov, np.eye(20))
 
     def test_theta_prior(self):
-        st = vacuum_state(standard_labels(2, theta=True), theta_var=0.3)
+        st = vacuum_state(2, theta=True, theta_var=0.3)
         assert st.dim == 5
         assert st.cov[0, 0] == pytest.approx(0.6)
         assert st.has_theta
 
-    def test_duplicate_labels_rejected(self):
-        with pytest.raises(InvalidInputError):
-            vacuum_state(("atom:1", "atom:1", "light"))
+    @pytest.mark.parametrize("dim, has_theta", [(3, False), (1, False), (4, True)])
+    def test_variables_that_are_not_pairs_refused(self, dim, has_theta):
+        """dim - has_theta must be even: theta, then one (x, p) pair per slice."""
+        with pytest.raises(InvalidInputError, match=r"are not .*\(x, p\) pairs"):
+            GaussianState(np.zeros(dim), np.eye(dim), has_theta)
 
 
 class TestApplyStep:
@@ -184,7 +185,7 @@ class TestMeasureLightX:
         st = light_vacuum(1)
         cov = st.cov.copy()
         cov[2, 2] = 0.0
-        bad = GaussianState(st.labels, st.mean, cov)
+        bad = dataclasses.replace(st, cov=cov)
         with pytest.raises(DegenerateCovarianceError):
             measure_light_x(bad, chi=0.0)
 
@@ -219,7 +220,7 @@ class TestObservables:
         """A collective variable of the wrong length is refused up front."""
         v = CollectiveVariable(np.array([0.0, 1.0]))
         with pytest.raises(InvalidInputError, match="2 coefficients"):
-            Scenario(vacuum_state(standard_labels(2)), (), (v,))
+            Scenario(vacuum_state(2), (), (v,))
 
     def test_collective_columns_numbered_in_order(self):
         x = CollectiveVariable(np.array([1.0, 0.0, 0.0, 0.0]))
@@ -250,26 +251,21 @@ class TestStepOperatorsValidation:
         with pytest.raises(InvalidInputError):
             coupling_step(0.1, light_prefactor=0.5)
 
-    def test_theta_must_lead(self):
-        with pytest.raises(InvalidInputError):
-            GaussianState(("atom:1", "theta", "light"), np.zeros(5), np.eye(5))
-
 
 class TestImpulse:
     def test_symmetric_with_theta_p_correlations(self):
-        """The rotation impulse S cov S^T stays exactly symmetric."""
+        """The rotation impulse S cov S^T on the read block stays exactly symmetric."""
         rng = np.random.default_rng(0)
-        targets = np.array([2, 4, 6])
         for _ in range(200):
-            a = rng.normal(size=(7, 7))
+            a = rng.normal(size=(4, 4))
             cov = a @ a.T
-            assert np.array_equal(cov, cov.T) and cov[0, 2] != 0.0
+            assert np.array_equal(cov, cov.T) and cov[0, 1] != 0.0
             coeffs = rng.normal(size=3)
-            mean = rng.normal(size=7)
-            s = np.eye(7)
-            s[targets, 0] = coeffs
+            mean = rng.normal(size=4)
+            s = np.eye(4)
+            s[1:, 0] = coeffs
             want_cov, want_mean = s @ cov @ s.T, s @ mean
-            _impulse_inplace(cov, mean, targets, coeffs, 0)
+            _theta_shear(cov, mean, coeffs)
             assert np.array_equal(cov, cov.T)
             scale = np.max(np.abs(want_cov))
             assert np.max(np.abs(cov - want_cov)) <= 1e-14 * scale

@@ -17,12 +17,7 @@ from squeezesim.errors import (
     DegenerateCovarianceError,
     InvalidInputError,
 )
-from squeezesim.gaussian_core import (
-    CHI_STD,
-    GaussianState,
-    standard_labels,
-    vacuum_state,
-)
+from squeezesim.gaussian_core import CHI_STD, GaussianState, vacuum_state
 from squeezesim.physics import CouplingRates
 from squeezesim.scenarios import (
     KALMAN_BLOCK,
@@ -351,7 +346,7 @@ class TestEstimation:
         assert sc.meta["base_scenario"] == base.meta["scenario"]
         assert all(sc.meta[k] == v for k, v in base.meta.items() if k != "scenario")
         state = sc.initial_state
-        assert state.labels == ("theta",) + base.initial_state.labels
+        assert state.has_theta and state.n_pairs == base.initial_state.n_pairs
         assert state.mean[0] == est.theta_true
         assert state.cov[0, 0] == 2.0 * est.var_theta0
         assert np.array_equal(state.cov[1:, 1:], base.initial_state.cov)
@@ -366,7 +361,7 @@ class TestEstimation:
         for phase in (squeeze, probe):
             (group,) = phase.groups
             assert np.array_equal(group.etas, etas)
-            assert np.array_equal(group.ax_rows, 1 + 2 * np.arange(4))
+            assert phase.groups is base.phases[0].groups  # theta shifts no slice
 
     def test_theta_led_or_multi_phase_base_refused(self):
         est = EstimationParams(t1=1e-5, t2=2e-5, alpha=1.0)
@@ -593,7 +588,7 @@ class TestRunnerDensePathEquivalence:
         cov[2, 4] = cov[4, 2] = 0.1
         # extra p noise keeps the conditioned p block above the bound
         cov[2, 2] = cov[4, 4] = 1.5
-        state = GaussianState(sc.initial_state.labels, sc.initial_state.mean, cov)
+        state = dataclasses.replace(sc.initial_state, cov=cov)
         sc = dataclasses.replace(sc, initial_state=state, sample_every=9)
         traj = self._compare_samples(sc, seed=1)
         assert all(np.array_equal(c, c.T) for c in traj.cov_samples)
@@ -606,24 +601,25 @@ class TestBlockSplitRefusals:
         sc = build_homogeneous(RATES, tau=1e-8, t_end=1e-7, sample_every=5)
         cov = sc.initial_state.cov.copy()
         cov[0, 1] = cov[1, 0] = 0.2
-        state = GaussianState(sc.initial_state.labels, sc.initial_state.mean, cov)
+        state = dataclasses.replace(sc.initial_state, cov=cov)
         with pytest.raises(InvalidInputError, match="correlates x rows"):
             run(dataclasses.replace(sc, initial_state=state))
 
-    def test_rotation_target_outside_read_block(self):
-        est = EstimationParams(t1=5e-8, t2=6e-8, alpha=1.0)
-        sc = build_estimation(
-            build_homogeneous(RATES, tau=1e-8, t_end=1e-7, sample_every=500), est)
-        squeeze, rotation, probe = sc.phases
-        x_row = dataclasses.replace(rotation, targets=np.array([1]))
-        with pytest.raises(InvalidInputError, match="rotation"):
-            run(dataclasses.replace(sc, phases=(squeeze, x_row, probe)))
-
     def test_rotation_source_outside_read_block(self):
         sc = build_homogeneous(RATES, tau=1e-8, t_end=1e-7, sample_every=5)
-        rotation = RotationPhase(duration=0.0, targets=[1], alphas=[1.0])
-        with pytest.raises(InvalidInputError, match="rotation"):
+        rotation = RotationPhase(duration=0.0, alphas=[1.0])
+        with pytest.raises(InvalidInputError, match="rotation needs a theta"):
             run(dataclasses.replace(sc, phases=sc.phases + (rotation,)))
+
+    @pytest.mark.parametrize("alphas", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]])
+    def test_rotation_needs_one_alpha_per_slice(self, alphas):
+        est = EstimationParams(t1=5e-8, t2=6e-8, alphas=(1.0, 2.0))
+        sc = build_estimation(build_thick(SliceConfig.split(2, RATES), tau=1e-8,
+                                          t_end=1e-7, sample_every=500), est)
+        squeeze, rotation, probe = sc.phases
+        wrong = dataclasses.replace(rotation, alphas=np.array(alphas))
+        with pytest.raises(InvalidInputError, match=r"one alpha per slice \(2\)"):
+            run(dataclasses.replace(sc, phases=(squeeze, wrong, probe)))
 
 
 def _symplectic(n_vars: int, has_theta: bool) -> np.ndarray:
@@ -757,8 +753,8 @@ class TestProbeGroupRefusals:
         ({"etas": [float("inf")]}, "etas must be finite"),
         ({"epsilon": float("nan")}, "epsilon must be finite"),
         ({"transmission": float("inf")}, "transmission must be finite"),
-        ({"kappas_sq": [1e6, 1e6]}, "kappas_sq must have one entry per row"),
-        ({"etas": []}, "etas must have one entry per row"),
+        ({"kappas_sq": [1e6, 1e6]}, "kappas_sq must have one entry per slice"),
+        ({"etas": []}, "etas must have one entry per slice"),
         ({"kappas_sq": [-1e6]}, "kappas_sq entries must be nonnegative"),
         ({"etas": [-1.0]}, "etas entries must be nonnegative"),
         ({"epsilon": -0.01}, r"epsilon must lie in \[0, 1\)"),
@@ -767,28 +763,24 @@ class TestProbeGroupRefusals:
         ({"transmission": 1.5}, r"transmission must lie in \(0, 1\]"),
     ])
     def test_group_refusals(self, over, match):
-        fields = dict(ax_rows=[0], kappas_sq=[1e6], etas=[1.0], epsilon=0.01,
-                      transmission=0.9)
+        fields = dict(kappas_sq=[1e6], etas=[1.0], epsilon=0.01, transmission=0.9)
         with pytest.raises(InvalidInputError, match=match):
             ProbeGroup(**{**fields, **over})
 
-    def test_compose_refuses_rows_that_are_not_x_rows(self):
-        with pytest.raises(InvalidInputError, match="not x rows"):
-            BeamSegment.compose((ProbeGroup([1], [1e6], [0.0]),), 4, 1e-8)
-
     def test_compose_refuses_a_slice_coupled_twice(self):
-        groups = (ProbeGroup([0, 2], [1e6, 1e6], [0.0, 0.0]),
-                  ProbeGroup([2], [1e6], [0.0]))
-        with pytest.raises(InvalidInputError, match="already coupled"):
+        groups = (ProbeGroup([1e6, 1e6], [0.0, 0.0]), ProbeGroup([1e6], [0.0]))
+        with pytest.raises(InvalidInputError, match="couple 3 slices, the state has 2"):
             BeamSegment.compose(groups, 4, 1e-8)
 
-    def test_compose_refuses_a_slice_listed_twice_in_one_group(self):
-        groups = (ProbeGroup([2, 2], [1e6, 1e6], [0.0, 0.0]),)
-        with pytest.raises(InvalidInputError, match="group 0 couples a slice already"):
-            BeamSegment.compose(groups, 4, 1e-8)
+    @pytest.mark.parametrize("m, sizes", [(4, [1]), (5, [1]), (6, [1, 1]), (2, [])])
+    def test_compose_refuses_groups_that_miss_a_slice(self, m, sizes):
+        groups = tuple(ProbeGroup(np.full(k, 1e6), np.zeros(k)) for k in sizes)
+        with pytest.raises(InvalidInputError,
+                           match=f"couple {sum(sizes)} slices, the state has {m // 2}"):
+            BeamSegment.compose(groups, m, 1e-8)
 
     def test_compose_refuses_eta_tau_of_one(self):
-        groups = (ProbeGroup([0], [1e6], [1e8]),)
+        groups = (ProbeGroup([1e6], [1e8]),)
         BeamSegment.compose(groups, 2, 0.99e-8)
         with pytest.raises(InvalidInputError, match=r"eta \* tau must be below 1"):
             BeamSegment.compose(groups, 2, 1e-8)
@@ -803,7 +795,7 @@ class TestInputHardening:
         lambda: SliceConfig(1, [1.0], [float("inf")], [0.0]),
         lambda: ProbePhase(duration=1e-6, tau=float("nan"), groups=()),
         lambda: ProbePhase(duration=float("inf"), tau=1e-8, groups=()),
-        lambda: RotationPhase(duration=0.0, targets=[1], alphas=[float("nan")]),
+        lambda: RotationPhase(duration=0.0, alphas=[float("nan")]),
         lambda: EstimationParams(t1=0.0, t2=1e-6, var_theta0=float("nan")),
         lambda: EstimationParams(t1=0.0, t2=1e-6, alpha=float("inf")),
         lambda: EstimationParams(t1=0.0, t2=1e-6, alphas=(1.0, float("nan"))),
@@ -818,11 +810,11 @@ class TestInputHardening:
     ], ids=["nan_mean", "inf_x_variance"])
     def test_non_finite_state_rejected(self, mean, cov):
         with pytest.raises(InvalidInputError, match="must be finite"):
-            GaussianState(standard_labels(1), np.array(mean), cov)
+            GaussianState(np.array(mean), cov)
 
     def test_non_finite_theta_prior_rejected(self):
         with pytest.raises(InvalidInputError, match="cov must be finite"):
-            vacuum_state(standard_labels(1, theta=True), theta_var=float("nan"))
+            vacuum_state(1, theta=True, theta_var=float("nan"))
 
     @pytest.mark.parametrize("cov", [
         0.1 * np.eye(2),
@@ -831,7 +823,7 @@ class TestInputHardening:
     ], ids=["below_uncertainty_bound", "negative_p_variance", "negative_x_variance"])
     def test_non_physical_pair_refused(self, cov):
         sc = build_homogeneous(RATES, tau=1e-8, t_end=1e-7, sample_every=5)
-        state = GaussianState(sc.initial_state.labels, sc.initial_state.mean, cov)
+        state = dataclasses.replace(sc.initial_state, cov=cov)
         with pytest.raises(InvalidInputError, match="slice 1 is not physical"):
             run(dataclasses.replace(sc, initial_state=state))
 
@@ -842,7 +834,7 @@ class TestInputHardening:
             build_homogeneous(RATES, tau=1e-8, t_end=1e-7, sample_every=5), est)
         cov = sc.initial_state.cov.copy()
         cov[0, 0] = 2.0 * var_theta
-        state = GaussianState(sc.initial_state.labels, sc.initial_state.mean, cov)
+        state = dataclasses.replace(sc.initial_state, cov=cov)
         with pytest.raises(InvalidInputError, match="theta variance must be positive"):
             run(dataclasses.replace(sc, initial_state=state))
 
@@ -857,7 +849,7 @@ class TestInputHardening:
         cov = np.eye(4)
         for (i, j), v in corr.items():
             cov[i, j] = cov[j, i] = v
-        state = GaussianState(sc.initial_state.labels, sc.initial_state.mean, cov)
+        state = dataclasses.replace(sc.initial_state, cov=cov)
         with pytest.raises(InvalidInputError, match=r"not physical: .*gamma \+ i Omega"):
             run(dataclasses.replace(sc, initial_state=state))
 
@@ -870,7 +862,7 @@ class TestInputHardening:
         cov[0, 2] = cov[2, 0] = 0.3
         cov[0, 4] = cov[4, 0] = -0.2
         cov[2, 4] = cov[4, 2] = 0.1
-        state = GaussianState(sc.initial_state.labels, sc.initial_state.mean, cov)
+        state = dataclasses.replace(sc.initial_state, cov=cov)
         with pytest.raises(InvalidInputError, match=r"gamma \+ i Omega"):
             run(dataclasses.replace(sc, initial_state=state))
 
@@ -885,7 +877,7 @@ class TestInputHardening:
         cov = np.zeros((2 * n, 2 * n))
         cov[::2, ::2] = (rot * s) @ rot.T
         cov[1::2, 1::2] = (rot / s) @ rot.T
-        state = GaussianState(sc.initial_state.labels, sc.initial_state.mean, cov)
+        state = dataclasses.replace(sc.initial_state, cov=cov)
         run(dataclasses.replace(sc, initial_state=state))
 
     def test_squeezed_minimum_uncertainty_state_accepted(self):
@@ -893,7 +885,7 @@ class TestInputHardening:
         sc = build_homogeneous(RATES, tau=1e-8, t_end=1e-7, sample_every=5)
         for r in np.linspace(0.1, 3.0, 30):
             cov = np.diag([math.exp(2 * r), math.exp(-2 * r)])
-            state = GaussianState(sc.initial_state.labels, sc.initial_state.mean, cov)
+            state = dataclasses.replace(sc.initial_state, cov=cov)
             ts, _ = run(dataclasses.replace(sc, initial_state=state))
             assert ts.columns["var_p"][0] == math.exp(-2 * r) / 2.0
 
@@ -929,12 +921,12 @@ class TestScenarioShape:
     @pytest.mark.parametrize("name", ["var_theta", "mean_theta"])
     def test_theta_observables_need_theta_refused_at_construction(self, name):
         with pytest.raises(InvalidInputError, match="need a theta variable"):
-            Scenario(vacuum_state(standard_labels(2)), (), (name,))
+            Scenario(vacuum_state(2), (), (name,))
 
     def test_state_without_slices_refused_at_construction(self):
         """A theta-only state is refused before run gets to sample it."""
         with pytest.raises(InvalidInputError, match="at least one slice"):
-            run(Scenario(initial_state=vacuum_state(standard_labels(0, theta=True)),
+            run(Scenario(initial_state=vacuum_state(0, theta=True),
                          phases=(), observables=()))
 
     def test_probe_phase_step_count(self):
