@@ -240,6 +240,27 @@ class TestThick:
         assert np.array_equal(tr_t.chis, tr_h.chis)
         assert np.array_equal(tr_t.outcomes, tr_h.outcomes)
 
+    @pytest.mark.parametrize("n, n_steps", [(8, 100_000), (50, 20_000)])
+    def test_noiseless_stack_matches_information_form(self, n, n_steps):
+        """Exact for the discrete model: without decay, every step is the same.
+
+        The p block's information grows as 1/G = I + N h h^T / shot, so by
+        Sherman-Morrison G = I - N h h^T / (shot + N |h|^2); the x block
+        gains the back-action of every step, I + N (w w^T) o S.
+        """
+        rates = CouplingRates(kappa_sq=1.83e6, eta=0.0, epsilon=0.028)
+        sc = build_thick(SliceConfig.split(n, rates), tau=5e-8,
+                         t_end=n_steps * 5e-8, sample_every=n_steps)
+        seg = sc.segments[0]
+        h, w, shot = seg.read.coupling0, seg.unread.coupling0, seg.shot
+        spread = np.ones((n, n)) if seg.spread is None else seg.spread
+        _, traj = run(sc, seed=0, record_cov=True)
+        cov = traj.cov_samples[-1]
+        p_ref = np.eye(n) - n_steps * np.outer(h, h) / (shot + n_steps * (h @ h))
+        x_ref = np.eye(n) + n_steps * np.outer(w, w) * spread
+        for got, ref in ((cov[1::2, 1::2], p_ref), (cov[0::2, 0::2], x_ref)):
+            assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
+
     def test_light_noise_floor_amplified_along_stack(self):
         slices = SliceConfig.split(4, RATES, per_slice_epsilon=0.028)
         sc = build_thick(slices, tau=5e-8, t_end=1e-4)
