@@ -241,7 +241,8 @@ class BlockMap:
     and ``growth`` are its diagonals; ``coupling0`` is the read-out h on the
     read block and the back-action w on the unread block, and it shrinks by
     ``decay`` per step.  Diagonals that would leave the state unchanged are
-    None.
+    None.  ``logs`` holds np.log of loss, growth and decay, None where they
+    are.
     """
 
     rows: slice
@@ -259,6 +260,20 @@ class BlockMap:
 
         return cls(rows, part(loss, 1.0), part(noise, 0.0), part(growth, 1.0),
                    coupling[rows], part(decay, 1.0))
+
+    @cached_property
+    def logs(self) -> tuple:
+        return tuple(None if v is None else np.log(v)
+                     for v in (self.loss, self.growth, self.decay))
+
+    def at(self, k: int) -> tuple:
+        """(noise, coupling) in effect at step index k of the phase."""
+        noise, coupling = self.noise0, self.coupling0
+        if noise is not None and self.growth is not None:
+            noise = noise * self.growth**k
+        if self.decay is not None:
+            coupling = coupling * self.decay**k
+        return noise, coupling
 
 
 @dataclass(frozen=True)
@@ -289,7 +304,10 @@ class BeamSegment:
     ``read`` and ``unread`` are the two BlockMaps and ``spread`` is S on the
     unread block.  At step k of the phase w and h carry decay**k and q
     carries growth**k; S and ``shot`` are fixed.  ``chunk_steps`` caps the
-    steps the runner advances at once.
+    measured steps the runner takes at once, and ``ramps`` holds the read
+    block's rows for such a chunk in loss-scaled coordinates, k = 0 ..
+    chunk_steps: (decay loss)**k for the read-out, growth**k /
+    loss**(2 (k + 1)) for the noise and loss**k.
     """
 
     read: BlockMap
@@ -299,6 +317,7 @@ class BeamSegment:
     kappas0: np.ndarray
     slice_decay: np.ndarray
     chunk_steps: int
+    ramps: tuple
 
     @classmethod
     def compose(cls, groups, m: int, tau: float, t_start: float = 0.0):
@@ -363,13 +382,15 @@ class BeamSegment:
         decay[ax] = decay[ax + 1] = slice_decay
         readout[ax + 1] = read_k
         read_map = BlockMap.take(read, loss, noise, growth, readout, decay)
-        width = max(len(read_map.coupling0), m // 2)
-        steps = min(CHUNK_STEPS, max(1, CHUNK_ELEMENTS // width))
+        steps = min(CHUNK_STEPS, max(1, CHUNK_ELEMENTS // len(read_map.coupling0)))
         if read_map.loss is not None:
             rate = -2.0 * math.log(float(np.min(read_map.loss)))
             if read_map.growth is not None:
                 rate += math.log(float(np.max(read_map.growth)))
             steps = max(1, min(steps, int(LOSS_SCALE_LOG / rate)))
+        k = np.arange(steps + 1.0)[:, None]
+        d, g, b = (1.0 if v is None else v
+                   for v in (read_map.loss, read_map.growth, read_map.decay))
         level = level[unread]
         return cls(
             read=read_map,
@@ -379,6 +400,7 @@ class BeamSegment:
             kappas0=k0,
             slice_decay=slice_decay,
             chunk_steps=steps,
+            ramps=(b**k * d**k, g**k / d ** (2.0 * k + 2.0), d**k),
         )
 
     def kappas_at(self, k: int) -> np.ndarray:
@@ -904,72 +926,52 @@ class _Sampler:
         return tuple(out)
 
 
-def _ramp(start, factor, rows):
-    """Fill rows[i] = start * factor**i by running products; the next start."""
-    rows[0] = start
-    if factor is None:
-        rows[1:] = start
-        return start
-    rows[1:] = factor
-    np.cumprod(rows, axis=0, out=rows)
-    return rows[-1] * factor
+def _geometric(log_a, log_b, n: int):
+    """sum_(k<n) A**(n-1-k) B**k entrywise, from log A and log B (None: 0).
 
-
-class _BlockRun:
-    """One block's run through a phase: running noise and coupling, buffers."""
-
-    def __init__(self, blk: BlockMap, steps: int):
-        width = len(blk.coupling0)
-        self.blk = blk
-        self.noise = blk.noise0
-        self.coupling = blk.coupling0
-        self.pows = None if blk.loss is None else np.empty((steps + 1, width))
-        self.noise_rows = None if blk.noise0 is None else np.empty((steps, width))
-        self.coupling_rows = np.empty((steps, width))
-
-    def fill(self, n: int):
-        """Rows for the next n steps: loss powers d**0..d**n, noise, coupling."""
-        blk = self.blk
-        pows = noise = None
-        if self.pows is not None:
-            pows = self.pows[: n + 1]
-            pows[0] = 1.0
-            pows[1:] = blk.loss
-            np.cumprod(pows, axis=0, out=pows)
-        if self.noise_rows is not None:
-            noise = self.noise_rows[:n]
-            self.noise = _ramp(self.noise, blk.growth, noise)
-        coupling = self.coupling_rows[:n]
-        self.coupling = _ramp(self.coupling, blk.decay, coupling)
-        return pows, noise, coupling
-
-
-def _open_chunk(cov, mean, block: _BlockRun, n: int, back: bool, spread=None):
-    """n unconditioned steps of one block in closed form.
-
-    With d the loss, q_k the noise and w_k the back-action of step k,
-
-        gamma -> P gamma P + diag(sum_k d**(2(n-1-k)) q_k) + S o (W^T W),
-
-    where P = d**n and row k of W is d**(n-1-k) w_k: one Gram product for
-    the back-action of the whole chunk.
+    Taken as e**((n-1) top) expm1(n y) / expm1(y), with top the larger log
+    and y = -|log B - log A| <= 0, so it overflows only where the sum
+    does; y = 0 gives n e**((n-1) top).
     """
-    pows, noise, coupling = block.fill(n)
-    if pows is not None:
-        power = pows[n]
+    if log_a is None and log_b is None:
+        return float(n)
+    log_a = 0.0 if log_a is None else log_a
+    log_b = 0.0 if log_b is None else log_b
+    top = np.maximum(log_a, log_b)
+    y = -np.abs(log_b - log_a)
+    ratio = np.full(y.shape, float(n))
+    np.divide(np.expm1(n * y), np.expm1(y), out=ratio, where=y != 0.0)
+    return np.exp((n - 1) * top) * ratio
+
+
+def _advance(cov, mean, blk: BlockMap, n: int, k0: int, back=False, spread=None):
+    """n unconditioned steps of one block from step index k0, in closed form.
+
+    With d the loss, q_k = q0 g**(k0+k) the noise and, when ``back`` is
+    set, c_k = w0 b**(k0+k) the back-action of step k,
+
+        gamma -> P gamma P + diag(sum_k d**(2(n-1-k)) q_k)
+                 + S o sum_k (d d^T)**(n-1-k) o (c_k c_k^T),
+
+    where P = d**n.  Both sums are geometric (_geometric), so a call costs
+    the same whatever n is.  Each term is symmetric entry by entry, so a
+    symmetric cov stays exactly symmetric.
+    """
+    log_d, log_g, log_b = blk.logs
+    noise, coupling = blk.at(k0)
+    if blk.loss is not None:
+        power = blk.loss**n
         cov *= np.outer(power, power)
         mean *= power
-        lever = pows[n - 1 :: -1]
     if noise is not None:
-        if pows is not None:
-            noise *= lever * lever
-        cov.ravel()[:: len(cov) + 1] += noise.sum(axis=0)
+        twice = None if log_d is None else 2.0 * log_d
+        cov.ravel()[:: len(cov) + 1] += noise * _geometric(twice, log_g, n)
     if back:
-        if pows is not None:
-            coupling *= lever
-        gram = np.dot(coupling.T, coupling)
+        gram = np.outer(coupling, coupling)
         if spread is not None:
             gram *= spread
+        gram *= _geometric(None if log_d is None else np.add.outer(log_d, log_d),
+                           None if log_b is None else np.add.outer(log_b, log_b), n)
         cov += gram
 
 
@@ -1018,10 +1020,6 @@ def _riccati_scan(g0: float, c: np.ndarray, q) -> np.ndarray:
     return g
 
 
-#: Lower-triangle mask (diagonal included) of the read-out covariance of a block.
-_LOWER = np.tri(KALMAN_BLOCK, dtype=bool)
-
-
 def _cholesky_block(cov, mean, h_rows, noise, z, pre, shot, k0, t0, tau):
     """len(z) <= KALMAN_BLOCK measured steps of a wide read block at once.
 
@@ -1036,7 +1034,8 @@ def _cholesky_block(cov, mean, h_rows, noise, z, pre, shot, k0, t0, tau):
 
     and Kalman filtering the block is taking the Cholesky factor
     [[L, 0], [B, C]] of A (the innovations form; Kailath, Sayed & Hassibi,
-    Linear Estimation (2000), ch. 9).  diag L holds the roots sqrt(bxx_j),
+    Linear Estimation (2000), ch. 9).  LAPACK reads only the lower triangle
+    of A, so only that is filled.  diag L holds the roots sqrt(bxx_j),
     the predicted read-outs are pre = H a_s + (L - diag L) z, the state
     moves to a_s + B z and its covariance to Z - B B^T.  That last one is a
     Gram product, so the covariance stays exactly symmetric.  z becomes the
@@ -1051,8 +1050,7 @@ def _cholesky_block(cov, mean, h_rows, noise, z, pre, shot, k0, t0, tau):
     y += qc[:n] * h_rows
     m = np.dot(h_rows, y.T)
     a = np.empty((n + r, n + r))
-    a[:n, :n] = np.where(_LOWER[:n, :n], m, m.T)
-    a[:n, n:] = y
+    a[:n, :n] = m  # m_ij carries Qc_j: right on and below the diagonal
     a[n:, :n] = y.T
     a[n:, n:] = cov
     diag = a.ravel()[:: n + r + 1]
@@ -1075,27 +1073,29 @@ def _cholesky_block(cov, mean, h_rows, noise, z, pre, shot, k0, t0, tau):
     z *= roots
 
 
-def _kalman_chunk(cov, mean, block: _BlockRun, z, pre, shot, k0, t0, tau):
-    """len(z) measured steps of the read block; z becomes the deviations chi.
+def _kalman_chunk(cov, mean, seg: BeamSegment, j0, z, pre, k0, t0, tau):
+    """len(z) measured steps of the read block from step index j0 of the phase.
 
-    The steps run in loss-scaled coordinates, gamma_j = E_j G_j E_j with
-    E_j = diag(d**j): the loss then leaves the step, which becomes the
-    rank-1 Kalman update of G_j with read-out E_j h_j followed by the noise
-    q_j / E_(j+1)**2.  No step loops in Python.  A one-row read block takes
-    all the chunk's steps at once, by a prefix scan of the scalar Riccati
-    recursion (_riccati_scan); its scaled means E_j**-1 a_j move only by
-    the scaled gains, so one running sum gives them, and with them the
-    predicted read-out in front of each detection, ``pre``.  A wider one
-    takes KALMAN_BLOCK steps at a time as one Cholesky factorization of
-    their joint covariance (_cholesky_block).
+    z becomes the deviations chi.  The steps run in loss-scaled
+    coordinates, gamma_j = E_j G_j E_j with E_j = diag(d**j): the loss then
+    leaves the step, which becomes the rank-1 Kalman update of G_j with
+    read-out E_j h_j followed by the noise q_j / E_(j+1)**2.  The rows of
+    both are the segment's ramps times the read-out and noise at step j0,
+    one broadcast product each.  No step loops in Python.  A one-row read
+    block takes all the chunk's steps at once, by a prefix scan of the
+    scalar Riccati recursion (_riccati_scan); its scaled means E_j**-1 a_j
+    move only by the scaled gains, so one running sum gives them, and with
+    them the predicted read-out in front of each detection, ``pre``.  A
+    wider one takes KALMAN_BLOCK steps at a time as one Cholesky
+    factorization of their joint covariance (_cholesky_block).
     """
     n = len(z)
-    pows, noise, h_rows = block.fill(n)
-    if pows is not None:
-        h_rows *= pows[:n]
-        if noise is not None:
-            noise /= pows[1:]
-            noise /= pows[1:]
+    readout, growth, powers = seg.ramps
+    shot = seg.shot
+    noise, h = seg.read.at(j0)
+    h_rows = h * readout[:n]
+    if noise is not None:
+        noise = noise * growth[:n]
     if len(cov) == 1:
         h = h_rows[:, 0]
         g = _riccati_scan(float(cov[0, 0]), h * h / shot,
@@ -1122,8 +1122,8 @@ def _kalman_chunk(cov, mean, block: _BlockRun, z, pre, shot, k0, t0, tau):
             _cholesky_block(cov, mean, h_rows[s:e],
                             None if noise is None else noise[s:e], z[s:e],
                             pre[s:e], shot, k0 + s, t0 + s * tau, tau)
-    if pows is not None:
-        power = pows[n]
+    if seg.read.loss is not None:
+        power = powers[n]
         cov *= np.outer(power, power)
         mean *= power
 
@@ -1195,22 +1195,22 @@ def run(
         if n_steps == 0:
             t += phase.duration
             continue
-        cap = min(seg.chunk_steps, n_steps)
-        reads = _BlockRun(seg.read, cap)
-        unreads = _BlockRun(seg.unread, cap)
+        cap = seg.chunk_steps
         measure = phase.measure
         if measure:
             chis = rng.normal(0.0, CHI_STD, n_steps)
             pre = np.empty(n_steps)
         j = 0
         while j < n_steps:
-            n = min(n_steps - j, cap, se - k % se)
+            n = min(n_steps - j, se - k % se)
             if measure:
-                _kalman_chunk(cov_r, mean_r, reads, chis[j : j + n], pre[j : j + n],
-                              seg.shot, k, t + j * phase.tau, phase.tau)
+                for s in range(j, j + n, cap):
+                    e = min(s + cap, j + n)
+                    _kalman_chunk(cov_r, mean_r, seg, s, chis[s:e], pre[s:e],
+                                  k + s - j, t + s * phase.tau, phase.tau)
             else:
-                _open_chunk(cov_r, mean_r, reads, n, back=False)
-            _open_chunk(cov_u, mean_u, unreads, n, back=True, spread=seg.spread)
+                _advance(cov_r, mean_r, seg.read, n, j)
+            _advance(cov_u, mean_u, seg.unread, n, j, back=True, spread=seg.spread)
             j += n
             k += n
             if k % se == 0:

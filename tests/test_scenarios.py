@@ -964,3 +964,52 @@ class TestCholeskyBlock:
                            match=r"steps 11\.\.13 .*t = 1\.100000e-07 s"):
             _cholesky_block(cov, np.zeros(2), h_rows, None, np.zeros(3),
                             np.empty(3), 1.0, 10, 1e-7, 1e-8)
+
+    def test_lapack_reads_only_the_lower_triangle(self):
+        """_cholesky_block leaves the strict upper triangle of its A unset."""
+        rng = np.random.default_rng(0)
+        b = rng.standard_normal((114, 114))
+        a = b @ b.T + 114.0 * np.eye(114)
+        lower = a.copy()
+        lower[np.triu_indices(114, 1)] = np.nan
+        assert np.array_equal(np.linalg.cholesky(lower), np.linalg.cholesky(a))
+
+
+def _cadence_scenario(kind: str) -> Scenario:
+    """97 x 12 steps, decaying fast enough for the closed form to show."""
+    tau, steps = 1e-8, 97 * 12
+    t_end = steps * tau
+    if kind == "thick":
+        return build_thick(SliceConfig.split(5, DECAYING), tau, t_end)
+    if kind == "thin":
+        return build_thin_inhomogeneous(SpreadSpec(1.83e6, 0.3), 6, DECAYING, tau,
+                                        t_end, eta_mode="intensity")
+    if kind == "unmeasured":
+        return build_homogeneous(DECAYING, tau, t_end, measure=False)
+    if kind == "loss_cap":
+        # eta tau = 0.4
+        slices = SliceConfig(3, np.array([4e5, 8e5, 6e5]), np.full(3, 4e7),
+                             np.array([0.028, 0.01, 0.04]))
+        return build_thick(slices, tau, t_end)
+    est = EstimationParams(t1=150 * tau, t2=155 * tau, alphas=(1.5, 0.7, 1.0),
+                           var_theta0=0.5, theta_true=0.2)
+    base = build_thin_inhomogeneous(SpreadSpec(1.83e6, 0.3), 3, DECAYING, tau,
+                                    t_end + 5 * tau)
+    return build_estimation(base, est)
+
+
+class TestSamplingCadence:
+    """Blocks advanced in closed form between samples end where the steps do."""
+
+    @pytest.mark.parametrize("kind", ["thick", "thin", "unmeasured", "estimation",
+                                      "loss_cap"])
+    def test_final_state_does_not_depend_on_the_cadence(self, kind):
+        sc = _cadence_scenario(kind)
+        finals = []
+        for every in (sc.total_steps, 97):
+            _, traj = run(dataclasses.replace(sc, sample_every=every), seed=4,
+                          record_cov=True)
+            assert all(np.array_equal(c, c.T) for c in traj.cov_samples)
+            finals.append((traj.cov_samples[-1], traj.samples[-1][1]))
+        for a, b in zip(*finals):
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
