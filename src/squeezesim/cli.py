@@ -239,6 +239,13 @@ def parse_config(text: str) -> RunConfig:
             else:
                 merged[key] = val
         tree = merged
+    for key, conv in (("deltas", float), ("n_slices", int), ("seeds", int)):
+        first: dict = {}
+        for i, val in enumerate(tree.get("sweep", {}).get(key, [])):
+            j = first.setdefault(conv(val), i)
+            if j != i:  # one grid point, run twice under one or two names
+                raise ParseError(f"'sweep.{key}[{i}]' repeats 'sweep.{key}[{j}]' "
+                                 f"({val!r})")
     if "scenario" not in tree:
         raise ParseError("missing required key 'scenario'")
     if tree["scenario"] not in SCENARIOS:

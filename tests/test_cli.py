@@ -358,6 +358,24 @@ class TestMain:
         assert "unknown key 'var0'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, values, i, j", [
+        ("deltas", [0.1, 0.1], 1, 0),
+        ("deltas", [0.2, 0, 0.0], 2, 1),
+        ("n_slices", [2, 3, 2], 2, 0),
+        ("seeds", [4, 4], 1, 0),
+    ])
+    def test_repeated_sweep_entry_exit_2_without_output(self, tmp_path, capsys,
+                                                         key, values, i, j):
+        """A repeated grid value would run one point twice and clash in the manifest."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(cfg_text(
+            scenario="thin_inhomogeneous", n_slices=3, t_end=5e-6,
+            output_dir=str(tmp_path / "sweep"), sweep={key: values},
+        ))
+        assert main(["sweep", "--config", str(cfg_path)]) == 2
+        assert f"'sweep.{key}[{i}]' repeats 'sweep.{key}[{j}]'" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
     def test_bad_config_exit_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text("{\"scenario\": \"waffles\"}")
