@@ -19,19 +19,20 @@ so together they cover every slice once.  The probe pair is fresh vacuum
 at the start of every step and spent at its end, so neither the state nor
 the records carry it: each probe phase folds its groups' rates into one
 BeamSegment (cached per scenario in Scenario.segments), a map of the
-atomic block followed by a rank-1 Kalman update for the detection.  The probe reads only theta and the p
-rows, and the map never couples them to the x rows, so the runner keeps
-two blocks: the read block takes the Kalman update every step, and the
-unread x block advances once per chunk of steps in closed form.  No
-measured step loops in Python.  A one-row read block (a single slice
-without theta) takes a chunk's Kalman updates at once, as a prefix scan
-of its scalar Riccati recursion; a wider one takes them KALMAN_BLOCK
-steps at a time, as one Cholesky factorization of the joint covariance
-of their read-outs and the final state.  The single-slice homogeneous run
-and the one-slice limit of the sliced (thick) run therefore take the same
-path and execute identical arithmetic.  The tests check it against dense
-operators built from the same rates, which carry the light pair
-explicitly (tests/oracles.py).
+atomic block followed by a rank-1 Kalman update for the detection.  The
+probe reads only theta and the p rows, and the map never couples them to
+the x rows, so the runner keeps two blocks: the read block takes the
+Kalman update every step, and the unread x block advances in closed form
+only when it is read, at sample points and phase ends.  No measured step
+loops in Python.  A one-row read block (a single slice without theta)
+takes a chunk's Kalman updates at once, as a prefix scan of its scalar
+Riccati recursion; a wider one takes them KALMAN_BLOCK steps at a time,
+as one Cholesky factorization of the joint covariance of their read-outs
+and the final state.  The single-slice homogeneous run and the one-slice
+limit of the sliced (thick) run therefore take the same path and execute
+identical arithmetic.  The tests check it against dense operators built
+from the same rates, which carry the light pair explicitly
+(tests/oracles.py).
 
 Per-step time dependence uses exponential factors frozen at the step start:
 couplings shrink as exp(-eta t / 2) while the mean spin decays, the atomic
@@ -1090,12 +1091,12 @@ def _kalman_chunk(cov, mean, seg: BeamSegment, j0, z, pre, k0, t0, tau):
     factorization of their joint covariance (_cholesky_block).
     """
     n = len(z)
-    readout, growth, powers = seg.ramps
+    out_ramp, noise_ramp, powers = seg.ramps
     shot = seg.shot
     noise, h = seg.read.at(j0)
-    h_rows = h * readout[:n]
+    h_rows = h * out_ramp[:n]
     if noise is not None:
-        noise = noise * growth[:n]
+        noise = noise * noise_ramp[:n]
     if len(cov) == 1:
         h = h_rows[:, 0]
         g = _riccati_scan(float(cov[0, 0]), h * h / shot,
@@ -1144,9 +1145,11 @@ def run(
     present), and the covariances too with ``record_cov``.
 
     The atomic block is kept as two blocks that no step couples: the read
-    block (theta and the p rows) takes the per-step Kalman updates, the
-    unread block (the x rows) advances in closed form once per chunk of
-    steps.  The observables are read from the two blocks (_Sampler); the
+    block (theta and the p rows) takes the per-step Kalman updates, in
+    chunks of at most BeamSegment.chunk_steps, while the unread block (the
+    x rows) advances in closed form (_advance) only at sample points and at
+    the end of each phase, as does the read block of an unmeasured phase.
+    The observables are read from the two blocks (_Sampler); the
     full covariance is assembled only when ``record_cov`` asks for it.  A
     one-row read block takes a whole chunk's updates in one prefix scan of
     the scalar Riccati recursion, a wider one KALMAN_BLOCK steps at a time

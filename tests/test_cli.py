@@ -373,7 +373,8 @@ class TestMain:
             output_dir=str(tmp_path / "sweep"), sweep={key: values},
         ))
         assert main(["sweep", "--config", str(cfg_path)]) == 2
-        assert f"'sweep.{key}[{i}]' repeats 'sweep.{key}[{j}]'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"'sweep.{key}[{i}]' repeats 'sweep.{key}[{j}]'" in err
         assert not (tmp_path / "sweep").exists()
 
     def test_bad_config_exit_2(self, tmp_path, capsys):
