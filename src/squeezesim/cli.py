@@ -13,17 +13,23 @@ Subcommands:
 * figure N --out dir             bundled data sets, one CSV per curve
 * rates --config cfg.json        print derived coupling/noise rates
 * sweep --config cfg.json        grid over delta / n_slices / seeds
+
+A figure is a row of FIGURES: runs of one of the PRESETS over one key, each
+keeping one column (figure 1: all).  A sweep refuses an axis its scenario
+does not read: delta for homogeneous and thick, n_slices for homogeneous.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -366,12 +372,6 @@ def write_csv(path: Path, times: np.ndarray, columns: dict) -> int:
     return len(times)
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(path.read_bytes())
-    return h.hexdigest()
-
-
 def write_manifest(path: Path, config_echo: dict, outputs: list[dict],
                    notes: dict, wall_clock: float, derived: dict | None = None):
     doc = {
@@ -385,31 +385,52 @@ def write_manifest(path: Path, config_echo: dict, outputs: list[dict],
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _write_outputs(out_dir: Path, manifest: str, curves, notes: dict,
-                   config_echo: dict, t0: float, derived: dict | None = None) -> int:
-    """Write one CSV per (file name, times, columns) of ``curves``, then a
-    manifest listing them; 0 on success.
+def _write_runs(out_dir: Path, manifest: str, echo: dict, curves,
+                derived: dict | None = None) -> int:
+    """Write one CSV per curve, then a manifest listing them; 0 on success.
 
-    ``curves`` is consumed lazily and may run the scenarios behind it;
-    ``notes`` is read only once it is exhausted, so it may fill them in.
-    ``out_dir`` is made just before the first file is written, so a run
-    refused before its first output leaves no directory.  On a
-    SqueezesimError or OSError every file this call started, a half-written
-    one included, is removed, the error printed and 1 returned.
+    ``curves`` yields (file name, curve, column, notes).  A curve is a
+    RunConfig, run once however many curves share it (runs are cached by
+    every field), or a ready (times, columns) pair.  ``column`` names the
+    one column written; None writes all, with the closed-form curve of a
+    homogeneous or thin run.  ``notes`` update the manifest's notes; None
+    puts the scenario's meta there.  ``curves`` is consumed lazily and
+    ``out_dir`` made just before the first file, so a run refused before its
+    first output leaves no directory.  On a SqueezesimError or OSError every
+    file this call started, a half-written one included, is removed, the
+    error printed and 1 returned.
     """
+    t0 = time.perf_counter()
     out_dir = Path(out_dir)
     started: list[Path] = []
-    outputs = []
+    outputs, notes, runs = [], {}, {}
     try:
-        for name, times, columns in curves:
+        for name, curve, column, note in curves:
+            meta = {}
+            if isinstance(curve, RunConfig):
+                key = repr(curve)
+                if key not in runs:
+                    sc = build_scenario(curve)
+                    ts, _ = scenarios.run(sc, seed=curve.seed)
+                    cols = dict(ts.columns)
+                    if curve.scenario in ("homogeneous", "thin_inhomogeneous"):
+                        cols["var_p_analytic"] = _analytic_var_p(curve, ts.times)
+                    runs[key] = ts.times, cols, sc.meta
+                times, cols, meta = runs[key]
+            else:
+                times, cols = curve
+            if column is not None:
+                cols = {column: cols[column]}
+            notes.update(meta if note is None else note)
             out_dir.mkdir(parents=True, exist_ok=True)
             path = out_dir / name
             started.append(path)
-            rows = write_csv(path, times, columns)
-            outputs.append({"path": name, "sha256": _sha256(path), "rows": rows})
+            rows = write_csv(path, times, cols)
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            outputs.append({"path": name, "sha256": digest, "rows": rows})
         out_dir.mkdir(parents=True, exist_ok=True)
         started.append(out_dir / manifest)
-        write_manifest(out_dir / manifest, config_echo, outputs, notes,
+        write_manifest(out_dir / manifest, echo, outputs, notes,
                        wall_clock=time.perf_counter() - t0, derived=derived)
         return 0
     except (OSError, SqueezesimError) as exc:
@@ -420,31 +441,10 @@ def _write_outputs(out_dir: Path, manifest: str, curves, notes: dict,
         return 1
 
 
-def _run_to_columns(cfg: RunConfig, sc: scenarios.Scenario):
-    """Run a scenario; its sampled columns, then the closed-form curve of a
-    homogeneous or thin sample."""
-    ts, _ = scenarios.run(sc, seed=cfg.seed)
-    cols = dict(ts.columns)
-    if cfg.scenario in ("homogeneous", "thin_inhomogeneous"):
-        cols["var_p_analytic"] = _analytic_var_p(cfg, ts.times)
-    return ts, cols
-
-
 def run_command(cfg: RunConfig) -> int:
     """Execute one configured scenario; write CSV + manifest; 0 on success."""
-    t0 = time.perf_counter()
-    notes: dict = {}
-
-    def curves():
-        sc = build_scenario(cfg)
-        ts, cols = _run_to_columns(cfg, sc)
-        notes.update(sc.meta)
-        yield f"{cfg.scenario}.csv", ts.times, cols
-
-    derived = {"kappa_sq": cfg.rates.kappa_sq, "eta": cfg.rates.eta,
-               "epsilon": cfg.rates.epsilon}
-    return _write_outputs(cfg.output_dir, "manifest.json", curves(), notes,
-                          cfg.raw, t0, derived)
+    return _write_runs(cfg.output_dir, "manifest.json", cfg.raw,
+                       [(f"{cfg.scenario}.csv", cfg, None, None)], vars(cfg.rates))
 
 
 def rates_command(cfg: RunConfig) -> int:
@@ -467,172 +467,135 @@ def rates_command(cfg: RunConfig) -> int:
 # Figure data sets
 
 
+def _limit_lines(cfg: RunConfig):
+    """The constant levels of the angle-estimation figure, from t2 to t_end.
+
+    Yields (note, (times, columns)) for the symmetric-variable prediction at
+    the figure's smallest and largest spread, then for the probed-variable
+    limit, from the rates, slice count and estimation block of ``cfg``.
+    """
+    est, r = cfg.estimation, cfg.rates
+    var_eff_t1 = _analytic_var_p(cfg, est["t1"])
+    times = np.linspace(est["t2"], cfg.t_end, 51)
+    for delta, symmetric in ((0.0, True), (0.5, True), (0.0, False)):
+        ksq = scenarios.SpreadSpec(r.kappa_sq, delta).slice_kappas_sq(cfg.n_slices)
+        kap = np.sqrt(ksq)
+        alphas = np.asarray(_estimation_alphas(est, ksq))
+        if symmetric:
+            a, _, _ = collective_decomposition(kap)
+            var_p_sym = analytic.var_symmetric(var_eff_t1, a)
+            level = analytic.var_theta_inhom_symmetric(var_p_sym, alphas)
+            note = {"curve": f"symmetric-variable limit, delta={delta}",
+                    "delta": delta, "column": "var_theta_limit_sym"}
+        else:
+            level = analytic.var_theta_inhom(var_eff_t1, kap, alphas)
+            note = {"curve": "probed-variable limit (spread independent)",
+                    "column": "var_theta_limit_eff"}
+        yield note, (times, {"var_theta": np.full_like(times, level)})
+
+
 @dataclass(frozen=True)
-class _ReferenceLine:
-    """A constant level of the angle-estimation figure, from t2 to t_end.
+class Figure:
+    """A bundled figure: runs of a preset, one per curve.
 
-    ``kind`` is "sym_line" for the symmetric-variable prediction at spread
-    ``delta`` and "eff_line" for the probed-variable limit.
+    ``config`` names the preset (plus any figure-wide override).  ``axes``
+    are (key, values) pairs; each point of their product, in order, is one
+    curve, with the key "column" naming the column it keeps (None: all).
+    ``note(cfg, column)`` describes the curve in the manifest.  ``lines``
+    adds closed-form curves after the runs, from the last run's config.
     """
 
-    kind: str
-    delta: float
-    t_end: float
+    config: dict
+    axes: tuple
+    note: Callable
+    lines: Callable | None = None
 
 
-def _figure_curves(fig_id: int, tau: float | None, t_end: float | None):
-    """Yield (name, description, curve, columns) per curve of a bundled figure.
-
-    A curve is a RunConfig to run, whose sampled ``columns`` are written
-    (all of the scenario's when None), or a _ReferenceLine.
-    """
-    rates = physics.CouplingRates(**PRESET_RATES)
-    noiseless = physics.CouplingRates(PRESET_RATES["kappa_sq"], 0.0, 0.0)
-    tau = 1e-8 if tau is None else tau
-    if t_end is None:
-        t_end = 2e-3 if fig_id == 5 else 3e-3
-    if fig_id == 1:
-        for i, (label, r) in enumerate(
-            [("no decay", noiseless), ("decay + absorption", rates)]
-        ):
-            cfg = RunConfig(scenario="homogeneous", rates=r, tau=tau, t_end=t_end)
-            yield f"fig1_curve{i + 1}", {"curve": label, "rates": vars(r)}, cfg, None
-    elif fig_id == 2:
-        i = 0
-        for col in ("min_eig_var", "var_P"):
-            for delta in (0.1, 0.5):
-                i += 1
-                cfg = RunConfig(
-                    scenario="thin_inhomogeneous", rates=rates, tau=tau,
-                    t_end=t_end, n_slices=10, delta=delta,
-                )
-                desc = {"curve": f"{col} at delta={delta}", "delta": delta,
-                        "column": col}
-                yield f"fig2_curve{i}", desc, cfg, (col,)
-    elif fig_id == 3:
-        for i, n in enumerate((1, 4, 8, 13, 25, 50)):
-            cfg = RunConfig(
-                scenario="thick", rates=rates, tau=tau, t_end=t_end,
-                n_slices=n, per_slice_epsilon=0.028, sample_every=2000,
-            )
-            absorbed = 1.0 - math.exp(-0.028 * n)
-            desc = {"curve": f"n={n} slices", "n_slices": n,
-                    "total_absorption": absorbed, "column": "min_eig_var"}
-            yield f"fig3_curve{i + 1}", desc, cfg, ("min_eig_var",)
-    elif fig_id == 4:
-        i = 0
-        for n in (4, 50):
-            for col in ("min_eig_var", "var_P_eff"):
-                i += 1
-                cfg = RunConfig(
-                    scenario="thick", rates=rates, tau=tau, t_end=t_end,
-                    n_slices=n, per_slice_epsilon=0.028, sample_every=2000,
-                )
-                desc = {"curve": f"{col} at n={n}", "n_slices": n, "column": col}
-                yield f"fig4_curve{i}", desc, cfg, (col,)
-    elif fig_id == 5:
-        deltas = (0.0, 0.02, 0.1, 0.2, 0.3, 0.4, 0.5)
-        for i, delta in enumerate(deltas):
-            cfg = RunConfig(
-                scenario="estimation", rates=rates, tau=tau, t_end=t_end,
-                n_slices=10, delta=delta, sample_every=500,
-                estimation=dict(PRESETS["fig5"]["estimation"]),
-            )
-            desc = {"curve": f"delta={delta}", "delta": delta,
-                    "column": "var_theta"}
-            yield f"fig5_curve{i + 1}", desc, cfg, ("var_theta",)
-        # constant reference lines: symmetric-variable predictions for the
-        # smallest and largest spread, and the probed-variable limit
-        for j, delta in enumerate((0.0, 0.5)):
-            yield f"fig5_curve{8 + j}", {
-                "curve": f"symmetric-variable limit, delta={delta}",
-                "delta": delta, "column": "var_theta_limit_sym",
-            }, _ReferenceLine("sym_line", delta, t_end), None
-        yield "fig5_curve10", {
-            "curve": "probed-variable limit (spread independent)",
-            "column": "var_theta_limit_eff",
-        }, _ReferenceLine("eff_line", 0.0, t_end), None
-    else:
-        raise SqueezesimError(f"unknown figure id {fig_id}; expected 1..5")
+FIGURES = {
+    1: Figure({"preset": "fig1"},
+              (("preset", ("fig1_noiseless", "fig1")), ("column", (None,))),
+              lambda c, col: {"curve": "decay + absorption" if c.rates.eta
+                              else "no decay", "rates": vars(c.rates)}),
+    2: Figure({"preset": "fig2"},
+              (("column", ("min_eig_var", "var_P")), ("delta", (0.1, 0.5))),
+              lambda c, col: {"curve": f"{col} at delta={c.delta}",
+                              "delta": c.delta, "column": col}),
+    3: Figure({"preset": "fig3", "sample_every": 2000},
+              (("n_slices", (1, 4, 8, 13, 25, 50)), ("column", ("min_eig_var",))),
+              lambda c, col: {"curve": f"n={c.n_slices} slices",
+                              "n_slices": c.n_slices, "column": col,
+                              "total_absorption":
+                                  1.0 - math.exp(-c.per_slice_epsilon * c.n_slices)}),
+    4: Figure({"preset": "fig3", "sample_every": 2000},
+              (("n_slices", (4, 50)), ("column", ("min_eig_var", "var_P_eff"))),
+              lambda c, col: {"curve": f"{col} at n={c.n_slices}",
+                              "n_slices": c.n_slices, "column": col}),
+    5: Figure({"preset": "fig5", "sample_every": 500},
+              (("delta", (0.0, 0.02, 0.1, 0.2, 0.3, 0.4, 0.5)),
+               ("column", ("var_theta",))),
+              lambda c, col: {"curve": f"delta={c.delta}", "delta": c.delta,
+                              "column": col},
+              lines=_limit_lines),
+}
 
 
-def _fig5_line(line: _ReferenceLine):
-    """Times and level of a reference line of the angle-estimation figure."""
-    est = PRESETS["fig5"]["estimation"]
-    rates = physics.CouplingRates(**PRESET_RATES)
-    spread = scenarios.SpreadSpec(kappa0_sq=rates.kappa_sq, delta=line.delta)
-    ksq = spread.slice_kappas_sq(10)
-    kap = np.sqrt(ksq)
-    alphas = np.asarray(_estimation_alphas(est, ksq))
-    params = SqueezeCurveParams(
-        kappa_sq=rates.kappa_sq, eta=rates.eta, epsilon=rates.epsilon
-    )
-    var_eff_t1 = analytic.var_p_noisy(est["t1"], params)
-    if line.kind == "eff_line":
-        level = analytic.var_theta_inhom(var_eff_t1, kap, alphas)
-    else:
-        a, _, _ = collective_decomposition(kap)
-        var_p_sym = analytic.var_symmetric(var_eff_t1, a)
-        level = analytic.var_theta_inhom_symmetric(var_p_sym, alphas)
-    times = np.linspace(est["t2"], line.t_end, 51)
-    return times, {"var_theta": np.full_like(times, level)}
+def _figure_runs(fig_id: int, tau: float | None, t_end: float | None,
+                 seed: int = 0):
+    """Yield (RunConfig, kept column) for each run curve of a figure."""
+    fig = FIGURES[fig_id]
+    over = {key: val for key, val in (("tau", tau), ("t_end", t_end))
+            if val is not None}
+    keys = [key for key, _ in fig.axes]
+    for values in itertools.product(*(vals for _, vals in fig.axes)):
+        point = dict(zip(keys, values))
+        column = point.pop("column")
+        tree = {**fig.config, **over, **point, "seed": seed}
+        yield parse_config(json.dumps(tree)), column
 
 
-def reproduce_figure(
-    fig_id: int, out_dir: Path, tau: float | None = None,
-    t_end: float | None = None, seed: int = 0,
-) -> int:
+def reproduce_figure(fig_id: int, out_dir: Path, tau: float | None = None,
+                     t_end: float | None = None, seed: int = 0) -> int:
     """Write one CSV per curve of a bundled figure, plus a manifest."""
-    t0 = time.perf_counter()
-    notes: dict = {}
+    if fig_id not in FIGURES:
+        raise SqueezesimError(f"unknown figure id {fig_id}; expected 1..5")
+    fig = FIGURES[fig_id]
 
     def curves():
-        run_cache: dict[str, tuple] = {}
-        for name, desc, cfg, cols in _figure_curves(fig_id, tau, t_end):
-            if isinstance(cfg, _ReferenceLine):
-                times, data = _fig5_line(cfg)
-            else:
-                cfg.seed = seed
-                key = repr(cfg)  # every field, so none can be left out
-                if key not in run_cache:
-                    sc = build_scenario(cfg)
-                    run_cache[key] = _run_to_columns(cfg, sc)
-                ts, data = run_cache[key]
-                if cols is not None:
-                    data = {c: ts.columns[c] for c in cols}
-                times = ts.times
-                desc = dict(desc, **{"tau": cfg.tau, "t_end": cfg.t_end,
-                                     "seed": seed})
-            notes[name] = desc
-            yield f"{name}.csv", times, data
+        for cfg, column in _figure_runs(fig_id, tau, t_end, seed):
+            note = dict(fig.note(cfg, column), tau=cfg.tau, t_end=cfg.t_end,
+                        seed=seed)
+            yield note, cfg, column
+        for note, line in fig.lines(cfg) if fig.lines else ():
+            yield note, line, None
 
+    named = ((f"fig{fig_id}_curve{i}.csv", curve, column,
+              {f"fig{fig_id}_curve{i}": note})
+             for i, (note, curve, column) in enumerate(curves(), 1))
     echo = {"figure": fig_id, "tau": tau, "t_end": t_end, "seed": seed}
-    return _write_outputs(out_dir, f"fig{fig_id}_manifest.json", curves(),
-                          notes, echo, t0, dict(PRESET_RATES))
+    return _write_runs(out_dir, f"fig{fig_id}_manifest.json", echo, named,
+                       dict(PRESET_RATES))
 
 
 def sweep_command(cfg: RunConfig) -> int:
     """Grid of runs over delta / n_slices / seeds; one CSV per combination."""
-    t0 = time.perf_counter()
-    deltas = cfg.sweep.get("deltas", [cfg.delta])
-    slice_counts = cfg.sweep.get("n_slices", [cfg.n_slices])
-    seeds = cfg.sweep.get("seeds", [cfg.seed])
-    notes: dict = {}
+    # an axis the scenario does not read would only repeat its runs
+    unread = {"homogeneous": ("deltas", "n_slices"), "thick": ("deltas",)}
+    for key in unread.get(cfg.scenario, ()):
+        if key in cfg.sweep:
+            raise ParseError(f"the {cfg.scenario} scenario does not read "
+                             f"'sweep.{key}'")
 
     def curves():
-        for delta in deltas:
-            for n in slice_counts:
-                for seed in seeds:
-                    sub = RunConfig(**{**vars(cfg), "delta": float(delta),
-                                       "n_slices": int(n), "seed": int(seed)})
-                    sc = build_scenario(sub)
-                    ts, cols = _run_to_columns(sub, sc)
-                    name = f"sweep_d{delta}_n{n}_s{seed}.csv"
-                    notes[name] = {"delta": delta, "n_slices": n, "seed": seed}
-                    yield name, ts.times, cols
+        for delta, n, seed in itertools.product(
+                cfg.sweep.get("deltas", [cfg.delta]),
+                cfg.sweep.get("n_slices", [cfg.n_slices]),
+                cfg.sweep.get("seeds", [cfg.seed])):
+            name = f"sweep_d{delta}_n{n}_s{seed}.csv"
+            sub = replace(cfg, delta=float(delta), n_slices=int(n), seed=int(seed))
+            yield name, sub, None, {name: {"delta": delta, "n_slices": n,
+                                           "seed": seed}}
 
-    return _write_outputs(cfg.output_dir, "sweep_manifest.json", curves(),
-                          notes, cfg.raw, t0)
+    return _write_runs(cfg.output_dir, "sweep_manifest.json", cfg.raw, curves())
 
 
 def _flag(convert, ok, want: str):
@@ -648,10 +611,6 @@ def _flag(convert, ok, want: str):
     return parse
 
 
-def _load_config(path: str) -> RunConfig:
-    return parse_config(Path(path).read_text(encoding="utf-8"))
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="squeezesim",
@@ -663,7 +622,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--config", required=True, help="JSON config path")
 
     p_fig = sub.add_parser("figure", help="write bundled figure data sets")
-    p_fig.add_argument("fig_id", type=int, choices=range(1, 6))
+    p_fig.add_argument("fig_id", type=int, choices=sorted(FIGURES))
     p_fig.add_argument("--out", default=None, help="output directory")
     p_fig.add_argument("--tau", default=None, help="override the step duration (s)",
                        type=_flag(float, lambda v: v > 0, "a positive number"))
@@ -686,7 +645,7 @@ def main(argv=None) -> int:
             return reproduce_figure(
                 args.fig_id, out, tau=args.tau, t_end=args.t_end, seed=args.seed
             )
-        cfg = _load_config(args.config)
+        cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
         if args.command == "run":
             return run_command(cfg)
         if args.command == "rates":

@@ -1154,7 +1154,8 @@ def run(
     one-row read block takes a whole chunk's updates in one prefix scan of
     the scalar Riccati recursion, a wider one KALMAN_BLOCK steps at a time
     in one Cholesky factorization; a failed factorization raises
-    DegenerateCovarianceError naming the block's first step.  The initial
+    DegenerateCovarianceError naming the block's first step, a failed
+    eigen-solve of the observables one naming the sample time.  The initial
     state must be physical (gamma + i Omega >= 0) and must not correlate
     the two blocks, and a rotation needs theta and one lever arm per slice
     (see Scenario.blocks).
@@ -1173,8 +1174,13 @@ def run(
     se = scenario.sample_every
 
     def sample(t, kappas):
+        try:
+            rows.append(sampler.row(cov_r, mean_r, cov_u, kappas))
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateCovarianceError(
+                f"the eigen-solve of the sample at t = {t:.6e} s failed: {exc}"
+            ) from None
         times.append(t)
-        rows.append(sampler.row(cov_r, mean_r, cov_u, kappas))
         mean = np.empty(m)
         mean[read] = mean_r
         mean[unread] = mean_u

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,13 +8,11 @@ import pytest
 from squeezesim import cli
 from squeezesim.cli import (
     ParseError,
-    RunConfig,
     main,
     parse_config,
     reproduce_figure,
     run_command,
 )
-from squeezesim.physics import CouplingRates
 
 
 def cfg_text(**over):
@@ -111,15 +110,15 @@ class TestParseConfig:
 
     def test_every_figure_and_preset_duration_is_whole_steps(self):
         """Default and shortened figure runs and every preset still build."""
-        from squeezesim.cli import PRESETS, _figure_curves, build_scenario
+        from squeezesim.cli import FIGURES, PRESETS, _figure_runs, build_scenario
 
-        for fig_id in range(1, 6):
+        assert sorted(FIGURES) == [1, 2, 3, 4, 5]
+        for fig_id in FIGURES:
             for t_end in (None, 1e-4, 2e-5, 5e-6):
                 if fig_id == 5 and t_end is not None and t_end <= 4e-5:
                     continue  # the angle is probed only after t2 = 4e-5 s
-                for _name, _desc, cfg, _cols in _figure_curves(fig_id, None, t_end):
-                    if isinstance(cfg, RunConfig):
-                        build_scenario(cfg)
+                for cfg, _column in _figure_runs(fig_id, None, t_end):
+                    build_scenario(cfg)
         for name in PRESETS:
             build_scenario(parse_config(json.dumps({"preset": name})))
 
@@ -273,15 +272,10 @@ class TestFigures:
 
     def test_curves_differing_only_in_sampling_run_separately(
             self, tmp_path, monkeypatch):
-        rates = CouplingRates(kappa_sq=1.83e6, eta=1.7577, epsilon=0.028)
-
-        def curves(fig_id, tau, t_end):
-            for i, every in enumerate((100, 250)):
-                cfg = RunConfig(scenario="homogeneous", rates=rates, tau=1e-8,
-                                t_end=1e-5, sample_every=every)
-                yield f"fig1_curve{i + 1}", {"sample_every": every}, cfg, None
-
-        monkeypatch.setattr(cli, "_figure_curves", curves)
+        figure = cli.Figure({"preset": "fig1", "tau": 1e-8, "t_end": 1e-5},
+                            (("sample_every", (100, 250)), ("column", (None,))),
+                            lambda cfg, col: {"sample_every": cfg.sample_every})
+        monkeypatch.setitem(cli.FIGURES, 1, figure)
         assert reproduce_figure(1, tmp_path) == 0
         for i, rows in ((1, 11), (2, 5)):
             t = np.genfromtxt(tmp_path / f"fig1_curve{i}.csv", delimiter=",",
@@ -304,6 +298,44 @@ class TestFigures:
         assert len(list(tmp_path.glob("*.csv"))) == 4
         assert len(calls) == 2
 
+
+    #: Each figure's run curves in order, as (config over a preset, kept
+    #: column; None keeps all), restated here apart from cli.FIGURES.
+    RUN_CURVES = {
+        1: [({"preset": "fig1_noiseless"}, None), ({"preset": "fig1"}, None)],
+        2: [({"preset": "fig2", "delta": d}, col)
+            for col in ("min_eig_var", "var_P") for d in (0.1, 0.5)],
+        3: [({"preset": "fig3", "n_slices": n, "sample_every": 2000}, "min_eig_var")
+            for n in (1, 4, 8, 13, 25, 50)],
+        4: [({"preset": "fig3", "n_slices": n, "sample_every": 2000}, col)
+            for n in (4, 50) for col in ("min_eig_var", "var_P_eff")],
+        5: [({"preset": "fig5", "delta": d, "sample_every": 500}, "var_theta")
+            for d in (0.0, 0.02, 0.1, 0.2, 0.3, 0.4, 0.5)],
+    }
+
+    @pytest.mark.parametrize("fig_id", RUN_CURVES)
+    def test_run_curves_are_preset_runs(self, tmp_path, fig_id):
+        """Each run curve is, bit for bit, its column of a run of the preset."""
+        over = {"tau": 2e-8, "t_end": 1e-4, "seed": 3}
+        assert reproduce_figure(fig_id, tmp_path, **over) == 0
+        for i, (tree, col) in enumerate(self.RUN_CURVES[fig_id], 1):
+            cfg = parse_config(json.dumps({**tree, **over}))
+            ts, _ = cli.scenarios.run(cli.build_scenario(cfg), seed=3)
+            header, *rows = (tmp_path / f"fig{fig_id}_curve{i}.csv").read_text().split()
+            data = dict(zip(header.split(","), np.array(
+                [[float(x) for x in row.split(",")] for row in rows]).T))
+            assert list(data) == ["t_seconds"] + (
+                [*ts.columns, "var_p_analytic"] if col is None else [col])
+            assert np.array_equal(data["t_seconds"], ts.times)
+            for name in ts.columns if col is None else (col,):
+                assert np.array_equal(data[name], ts.columns[name])
+
+    def test_figure_4_curves_are_figure_3_runs(self, tmp_path):
+        for fig_id in (3, 4):
+            assert reproduce_figure(fig_id, tmp_path, tau=2e-8, t_end=1e-4) == 0
+        for fig4, fig3 in ((1, 2), (3, 6)):  # min_eig_var at n = 4 and n = 50
+            assert ((tmp_path / f"fig4_curve{fig4}.csv").read_bytes()
+                    == (tmp_path / f"fig3_curve{fig3}.csv").read_bytes())
 
     def test_output_error_removes_every_started_file(self, tmp_path, capsys):
         """An unwritable curve leaves neither earlier curves nor a manifest."""
@@ -376,6 +408,41 @@ class TestMain:
         err = capsys.readouterr().err
         assert f"'sweep.{key}[{i}]' repeats 'sweep.{key}[{j}]'" in err
         assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize("scenario, key, values", [
+        ("homogeneous", "deltas", [0.1, 0.5]),
+        ("homogeneous", "n_slices", [2, 3]),
+        ("thick", "deltas", [0.1, 0.5]),
+    ])
+    def test_unread_sweep_axis_exit_2_without_output(self, tmp_path, capsys,
+                                                     scenario, key, values):
+        """An axis the scenario ignores would write one run under many names."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(cfg_text(
+            scenario=scenario, n_slices=3, t_end=5e-6,
+            output_dir=str(tmp_path / "sweep"), sweep={key: values},
+        ))
+        assert main(["sweep", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"'sweep.{key}'" in err
+        assert not (tmp_path / "sweep").exists()
+
+    def test_failed_eigen_solve_exit_1_without_output(self, tmp_path, capsys):
+        """At eta t_end = 1000, far outside the model, a sample's eigen-solve
+        fails; the run names the sample time instead of a traceback."""
+        out = tmp_path / "out"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(cfg_text(
+            scenario="thick", n_slices=3, t_end=1e-3, output_dir=str(out),
+            rates={"kappa_sq": 1.83e6, "eta": 1e6, "epsilon": 0.028},
+        ))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert re.fullmatch(r"error: the eigen-solve of the sample at "
+                            r"t = \d\.\d{6}e-\d\d s failed: .+\n", err)
+        assert not out.exists()
 
     def test_bad_config_exit_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
