@@ -307,3 +307,38 @@ def rotation_step_operators(phase, dim: int) -> StepOperators:
     s = np.eye(dim)
     s[2 + 2 * np.arange(len(phase.alphas)), 0] = phase.alphas
     return StepOperators(s=s, l=np.ones(dim), m=np.zeros(dim), n=np.zeros(dim))
+
+
+def uniform_thin_modes(seg, n_samples: int, sample_every: int):
+    """(sigma, v, v') at step 0 and after each of n_samples intervals.
+
+    A read block with one loss d, noise q_k, growth and decay on every row
+    that starts as the identity stays sigma I + (v - sigma) h^ h^T, h^ the
+    unit read-out: every direction across h^ only damps and takes noise,
+    sigma -> d^2 sigma + q_k, while the h^ mode takes the Kalman update of
+    read-out |h_k| first, v -> v shot / (|h_k|^2 v + shot), then the same
+    map.  The x block likewise stays sigma I + (v' - sigma) w^ w^T, with
+    v' -> d^2 v' + q_k + |w_k|^2 the back-action mode.  Each recursion
+    starts at one (vacuum) and runs from the segment's stored float64
+    rates in np.longdouble, step by step.
+    """
+    ld = np.longdouble
+    read, unread = seg.read, seg.unread
+    d2 = ld(read.loss[0]) ** 2
+    q, g = ld(read.noise0[0]), ld(read.growth[0])
+    b2 = ld(read.decay[0]) ** 2
+    h2 = np.sum(np.asarray(read.coupling0, dtype=ld) ** 2)
+    w2 = np.sum(np.asarray(unread.coupling0, dtype=ld) ** 2)
+    shot = ld(seg.shot)
+    sigma = v = vx = ld(1.0)
+    out = [(sigma, v, vx)]
+    for _ in range(n_samples):
+        for _ in range(sample_every):
+            v = d2 * (v * shot / (h2 * v + shot)) + q
+            sigma = d2 * sigma + q
+            vx = d2 * vx + q + w2
+            q *= g
+            h2 *= b2
+            w2 *= b2
+        out.append((sigma, v, vx))
+    return out

@@ -42,6 +42,7 @@ from oracles import (
     probe_step_operators,
     rotation_step_operators,
     trace_out_light,
+    uniform_thin_modes,
     with_light,
 )
 
@@ -193,6 +194,31 @@ class TestThinInhomogeneous:
         assert np.max(np.abs(ts.columns["var_P"] - pred) / pred) < 1e-9
         # physical covariances stay positive semidefinite
         assert np.min(ts.columns["min_eig_var"]) >= -1e-10
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="np.longdouble is no wider than float64 here")
+    def test_long_run_matches_long_double_modes(self):
+        """300k steps of a uniform-eta sample against its scalar modes.
+
+        Both blocks stay sigma I + (mode - sigma) u u^T, u the unit
+        read-out on p and back-action on x (oracles.uniform_thin_modes).
+        """
+        sc = build_thin_inhomogeneous(SpreadSpec(1.83e6, 0.3), 10, RATES,
+                                      tau=1e-8, t_end=3e-3)
+        seg = sc.segments[0]
+        _, traj = run(sc, seed=0, record_cov=True)
+        ref = uniform_thin_modes(seg, 300, sc.sample_every)
+        eye = np.eye(10, dtype=np.longdouble)
+        units = []
+        for u in (seg.read.coupling0, seg.unread.coupling0):
+            u = np.asarray(u, dtype=np.longdouble)
+            units.append(np.outer(u, u) / np.sum(u * u))
+        assert len(ref) == len(traj.cov_samples) == 301
+        for cov, (sigma, v, vx) in zip(traj.cov_samples, ref, strict=True):
+            for got, unit, mode in ((cov[1::2, 1::2], units[0], v),
+                                    (cov[0::2, 0::2], units[1], vx)):
+                want = sigma * eye + (mode - sigma) * unit
+                assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
     def test_intensity_eta_mode_lifts_floor(self):
         """Intensity-scaled decay pushes the squeezing floor up with delta."""
