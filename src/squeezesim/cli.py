@@ -16,7 +16,9 @@ Subcommands:
 
 A figure is a row of FIGURES: runs of one of the PRESETS over one key, each
 keeping one column (figure 1: all).  A sweep refuses an axis its scenario
-does not read: delta for homogeneous and thick, n_slices for homogeneous.
+does not read: delta for homogeneous and thick, n_slices for homogeneous,
+and seeds unless the run reads a mean (estimation) or draws its couplings
+(a thin sample with spread_mode "random").
 """
 
 from __future__ import annotations
@@ -578,9 +580,12 @@ def reproduce_figure(fig_id: int, out_dir: Path, tau: float | None = None,
 
 def sweep_command(cfg: RunConfig) -> int:
     """Grid of runs over delta / n_slices / seeds; one CSV per combination."""
-    # an axis the scenario does not read would only repeat its runs
+    # an axis the scenario does not read would only repeat its runs; a seed
+    # is read only through a mean (estimation) or randomly drawn couplings
     unread = {"homogeneous": ("deltas", "n_slices"), "thick": ("deltas",)}
-    for key in unread.get(cfg.scenario, ()):
+    seeded = cfg.scenario == "estimation" or (
+        cfg.scenario == "thin_inhomogeneous" and cfg.spread_mode == "random")
+    for key in unread.get(cfg.scenario, ()) + (() if seeded else ("seeds",)):
         if key in cfg.sweep:
             raise ParseError(f"the {cfg.scenario} scenario does not read "
                              f"'sweep.{key}'")

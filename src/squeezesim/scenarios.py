@@ -30,9 +30,12 @@ Riccati recursion; a wider one takes them KALMAN_BLOCK steps at a time,
 as one Cholesky factorization of the joint covariance of their read-outs
 and the final state.  The single-slice homogeneous run and the one-slice
 limit of the sliced (thick) run therefore take the same path and execute
-identical arithmetic.  The tests check it against dense operators built
-from the same rates, which carry the light pair explicitly
-(tests/oracles.py).
+identical arithmetic.  A read block of p rows alone whose loss, noise,
+growth and decay are one value on every row (a thin sample with uniform
+decay, a noiseless stack) and that starts as c I with zero mean runs as
+its read-out mode, one row on the scan, plus one unread variance across
+it.  The tests check all of it against dense operators built from the
+same rates, which carry the light pair explicitly (tests/oracles.py).
 
 Per-step time dependence uses exponential factors frozen at the step start:
 couplings shrink as exp(-eta t / 2) while the mean spin decays, the atomic
@@ -304,11 +307,12 @@ class BeamSegment:
     rows) to the unread block (the x rows).  It is stored split that way:
     ``read`` and ``unread`` are the two BlockMaps and ``spread`` is S on the
     unread block.  At step k of the phase w and h carry decay**k and q
-    carries growth**k; S and ``shot`` are fixed.  ``chunk_steps`` caps the
-    measured steps the runner takes at once, and ``ramps`` holds the read
-    block's rows for such a chunk in loss-scaled coordinates, k = 0 ..
-    chunk_steps: (decay loss)**k for the read-out, growth**k /
-    loss**(2 (k + 1)) for the noise and loss**k.
+    carries growth**k; S and ``shot`` are fixed.  Taken from ``read`` when
+    first asked for, ``chunk_steps`` caps the measured steps the runner
+    takes at once and ``ramps`` holds the read block's rows for such a
+    chunk in loss-scaled coordinates, k = 0 .. chunk_steps: (decay
+    loss)**k for the read-out, growth**k / loss**(2 (k + 1)) for the noise
+    and loss**k.
     """
 
     read: BlockMap
@@ -317,8 +321,6 @@ class BeamSegment:
     shot: float
     kappas0: np.ndarray
     slice_decay: np.ndarray
-    chunk_steps: int
-    ramps: tuple
 
     @classmethod
     def compose(cls, groups, m: int, tau: float, t_start: float = 0.0):
@@ -383,15 +385,6 @@ class BeamSegment:
         decay[ax] = decay[ax + 1] = slice_decay
         readout[ax + 1] = read_k
         read_map = BlockMap.take(read, loss, noise, growth, readout, decay)
-        steps = min(CHUNK_STEPS, max(1, CHUNK_ELEMENTS // len(read_map.coupling0)))
-        if read_map.loss is not None:
-            rate = -2.0 * math.log(float(np.min(read_map.loss)))
-            if read_map.growth is not None:
-                rate += math.log(float(np.max(read_map.growth)))
-            steps = max(1, min(steps, int(LOSS_SCALE_LOG / rate)))
-        k = np.arange(steps + 1.0)[:, None]
-        d, g, b = (1.0 if v is None else v
-                   for v in (read_map.loss, read_map.growth, read_map.decay))
         level = level[unread]
         return cls(
             read=read_map,
@@ -400,9 +393,45 @@ class BeamSegment:
             shot=shot,
             kappas0=k0,
             slice_decay=slice_decay,
-            chunk_steps=steps,
-            ramps=(b**k * d**k, g**k / d ** (2.0 * k + 2.0), d**k),
         )
+
+    @cached_property
+    def chunk_steps(self) -> int:
+        read = self.read
+        steps = min(CHUNK_STEPS, max(1, CHUNK_ELEMENTS // len(read.coupling0)))
+        if read.loss is not None:
+            rate = -2.0 * math.log(float(np.min(read.loss)))
+            if read.growth is not None:
+                rate += math.log(float(np.max(read.growth)))
+            steps = max(1, min(steps, int(LOSS_SCALE_LOG / rate)))
+        return steps
+
+    @cached_property
+    def ramps(self) -> tuple:
+        k = np.arange(self.chunk_steps + 1.0)[:, None]
+        d, g, b = (1.0 if v is None else v
+                   for v in (self.read.loss, self.read.growth, self.read.decay))
+        return b**k * d**k, g**k / d ** (2.0 * k + 2.0), d**k
+
+    @cached_property
+    def collective(self) -> tuple | None:
+        """(h^, the segment of the mode h^ = h / |h| alone), or None.
+
+        None unless the read block is two or more p rows (no theta) whose
+        loss, noise, growth and decay are each None or one value on every
+        row: that map commutes with any rotation, and the read-out touches
+        only h^, so the mode runs alone as one row of read-out |h| (run).
+        """
+        read = self.read
+        h = read.coupling0
+        norm = math.sqrt(float(h @ h))
+        diags = {f: getattr(read, f) for f in ("loss", "noise0", "growth", "decay")}
+        if not (1 < len(h) == len(self.unread.coupling0) and norm > 0.0 and all(
+                v is None or np.all(v == v[0]) for v in diags.values())):
+            return None
+        mode = replace(read, coupling0=np.array([norm]),
+                       **{f: v[:1] for f, v in diags.items() if v is not None})
+        return h / norm, replace(self, read=mode)
 
     def kappas_at(self, k: int) -> np.ndarray:
         """Per-slice couplings in effect at step index k of the phase."""
@@ -1155,10 +1184,14 @@ def run(
     the scalar Riccati recursion, a wider one KALMAN_BLOCK steps at a time
     in one Cholesky factorization; a failed factorization raises
     DegenerateCovarianceError naming the block's first step, a failed
-    eigen-solve of the observables one naming the sample time.  The initial
-    state must be physical (gamma + i Omega >= 0) and must not correlate
-    the two blocks, and a rotation needs theta and one lever arm per slice
-    (see Scenario.blocks).
+    eigen-solve of the observables one naming the sample time.  A measured
+    phase whose segment splits (BeamSegment.collective) and whose read
+    block starts as c I with zero mean runs as the one-row mode (v, mu) of
+    the unit read-out h^ plus one variance s across it, rebuilt as s I +
+    (v - s) h^ h^T and mu h^ at sample points and the phase end.  The
+    initial state must be physical (gamma + i Omega >= 0) and must not
+    correlate the two blocks, and a rotation needs theta and one lever arm
+    per slice (see Scenario.blocks).
     """
     m = scenario.initial_state.dim
     cov_r, mean_r, cov_u, mean_u = (a.copy() for a in scenario.blocks)
@@ -1204,19 +1237,31 @@ def run(
         if n_steps == 0:
             t += phase.duration
             continue
-        cap = seg.chunk_steps
         measure = phase.measure
         if measure:
             chis = rng.normal(0.0, CHI_STD, n_steps)
             pre = np.empty(n_steps)
+        blk, blk_mean, chunk_seg = cov_r, mean_r, seg
+        split = measure and seg.collective and not mean_r.any() and np.array_equal(
+            cov_r, cov_r[0, 0] * np.eye(len(cov_r)))
+        if split:
+            hat, chunk_seg = seg.collective
+            blk, blk_mean = cov_r[:1, :1].copy(), np.zeros(1)
+            across = blk.copy()  # the variance of every direction across hat
+        cap = chunk_seg.chunk_steps
         j = 0
         while j < n_steps:
             n = min(n_steps - j, se - k % se)
             if measure:
                 for s in range(j, j + n, cap):
                     e = min(s + cap, j + n)
-                    _kalman_chunk(cov_r, mean_r, seg, s, chis[s:e], pre[s:e],
+                    _kalman_chunk(blk, blk_mean, chunk_seg, s, chis[s:e], pre[s:e],
                                   k + s - j, t + s * phase.tau, phase.tau)
+                if split:  # rebuilt at sample points and the phase end
+                    _advance(across, np.zeros(1), chunk_seg.read, n, j)
+                    np.multiply(np.outer(hat, hat), blk[0, 0] - across[0, 0], out=cov_r)
+                    cov_r.ravel()[:: len(cov_r) + 1] += across[0, 0]
+                    np.multiply(hat, blk_mean[0], out=mean_r)
             else:
                 _advance(cov_r, mean_r, seg.read, n, j)
             _advance(cov_u, mean_u, seg.unread, n, j, back=True, spread=seg.spread)

@@ -413,6 +413,9 @@ class TestMain:
         ("homogeneous", "deltas", [0.1, 0.5]),
         ("homogeneous", "n_slices", [2, 3]),
         ("thick", "deltas", [0.1, 0.5]),
+        # no mean is read and no coupling is drawn from the seed
+        ("thick", "seeds", [0, 1, 2]),
+        ("thin_inhomogeneous", "seeds", [0, 1, 2]),
     ])
     def test_unread_sweep_axis_exit_2_without_output(self, tmp_path, capsys,
                                                      scenario, key, values):
@@ -426,6 +429,19 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and f"'sweep.{key}'" in err
         assert not (tmp_path / "sweep").exists()
+
+    def test_seed_axis_of_a_random_spread_accepted(self, tmp_path):
+        """Each seed draws other couplings, so each CSV differs."""
+        out = tmp_path / "sweep"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(cfg_text(
+            scenario="thin_inhomogeneous", n_slices=3, delta=0.3,
+            spread_mode="random", t_end=5e-6, output_dir=str(out),
+            sweep={"seeds": [0, 1, 2]},
+        ))
+        assert main(["sweep", "--config", str(cfg_path)]) == 0
+        texts = {p.read_text() for p in out.glob("*.csv")}
+        assert len(texts) == 3
 
     def test_failed_eigen_solve_exit_1_without_output(self, tmp_path, capsys):
         """At eta t_end = 1000, far outside the model, a sample's eigen-solve
@@ -516,6 +532,7 @@ class TestMain:
         cfg_path.write_text(cfg_text(
             scenario="thin_inhomogeneous",
             n_slices=3,
+            spread_mode="random",
             t_end=5e-6,
             output_dir=str(tmp_path / "sweep"),
             sweep={"deltas": [0.1, 0.5], "seeds": [0, 1]},

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from squeezesim import scenarios
 from squeezesim.analytic import (
     EstimationParams,
     SqueezeCurveParams,
@@ -219,6 +220,16 @@ class TestThinInhomogeneous:
                                     (cov[0::2, 0::2], units[1], vx)):
                 want = sigma * eye + (mode - sigma) * unit
                 assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+    def test_collective_mode_is_the_homogeneous_run(self):
+        """With uniform decay the probed variable is one sample of sum kappa_i^2."""
+        want = run(build_homogeneous(RATES, tau=1e-8, t_end=3e-3))[0].columns["var_p"]
+        for delta in (0.0, 0.1, 0.5):
+            sc = build_thin_inhomogeneous(SpreadSpec(RATES.kappa_sq, delta), 10, RATES,
+                                          tau=1e-8, t_end=3e-3)
+            got = run(sc)[0].columns["var_P_eff"]
+            assert len(got) == len(want) == 301
+            assert np.max(np.abs(got - want) / want) <= 1e-12
 
     def test_intensity_eta_mode_lifts_floor(self):
         """Intensity-scaled decay pushes the squeezing floor up with delta."""
@@ -516,6 +527,41 @@ class TestRunnerDensePathEquivalence:
         dense = self._dense_run(sc, 5, n_steps_cap=100)
         self._assert_matches(traj.cov_samples[-1], traj.samples[-1][1], dense)
 
+    @pytest.mark.parametrize("kind, start, collective", [
+        ("thin", "vacuum", True), ("thin", "warm", True),
+        ("thick_noiseless", None, True), ("thin_intensity", "vacuum", False),
+        ("thick", None, False), ("estimation", "vacuum", False),
+        ("thin", "squeezed", False), ("thin", "displaced", False)])
+    def test_collective_dispatch(self, kind, start, collective, monkeypatch):
+        """Which read block the chunks take, and the dense path on both.
+
+        The collective path hands the chunks the one-row h^ mode; the
+        r-wide path hands them the whole read block.
+        """
+        tau = 1e-8
+        sc = _thin_case(5, DECAYING, "intensity" if kind == "thin_intensity"
+                        else "uniform", start, tau)
+        if kind.startswith("thick"):
+            etas = np.zeros(4) if kind == "thick_noiseless" else np.full(4, 3e4)
+            sc = build_thick(SliceConfig(4, np.linspace(2e5, 6e5, 4), etas,
+                                         np.full(4, 0.03)), tau, 100 * tau,
+                             sample_every=50)
+        elif kind == "estimation":
+            est = EstimationParams(t1=40 * tau, t2=43 * tau, alpha=1.5,
+                                   var_theta0=0.5, theta_true=0.2)
+            sc = build_estimation(dataclasses.replace(
+                sc, phases=(dataclasses.replace(sc.phases[0], duration=103 * tau),)),
+                est)
+        widths = []
+        chunk = scenarios._kalman_chunk
+
+        def spy(cov, *args):
+            widths.append(len(cov))
+            return chunk(cov, *args)
+
+        monkeypatch.setattr(scenarios, "_kalman_chunk", spy)
+        self._compare_samples(sc, seed=4)
+        assert set(widths) == ({1} if collective else {len(sc.blocks[0])})
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -609,8 +655,10 @@ class TestRunnerDensePathEquivalence:
     def test_chunk_not_a_multiple_of_the_block(self, kind):
         """Chunks end part way into a block of steps, several times."""
         if kind == "sampling":
+            # intensity-set decay: a uniform one would take the collective path
             sc = build_thin_inhomogeneous(SpreadSpec(1.83e6, 0.4), 5, DECAYING,
-                                          tau=1e-8, t_end=450e-8, sample_every=150)
+                                          tau=1e-8, t_end=450e-8, sample_every=150,
+                                          eta_mode="intensity")
             chunk = sc.sample_every
         else:
             # eta tau = 0.3: the loss-scale cap cuts the chunks short
@@ -687,12 +735,46 @@ def _uncertainty_margin(block: np.ndarray, has_theta: bool) -> float:
 TAU_PROP = 1e-8
 
 
+def _thin_case(n, rates, eta_mode, start, tau, n_steps=100, sample_every=50,
+               delta=0.4, rng=None, scale=1.5):
+    """A thin sample of n_steps; ``start`` sets its initial state.
+
+    "vacuum" keeps the builder's; "warm" starts every slice at ``scale``
+    times the vacuum, which keeps the read block c I; "squeezed" squeezes
+    the first slice's p by ``scale`` and "displaced" displaces it by
+    ``scale``, and either breaks it.
+    """
+    sc = build_thin_inhomogeneous(
+        SpreadSpec(rates.kappa_sq, delta, mode="grid" if rng is None else "random"),
+        n, rates, tau, n_steps * tau, sample_every=sample_every,
+        eta_mode=eta_mode, rng=rng)
+    state = sc.initial_state
+    cov, mean = state.cov.copy(), state.mean.copy()
+    if start == "warm":
+        cov *= scale
+    elif start == "squeezed":
+        cov[0, 0], cov[1, 1] = 1.0 / scale, scale
+    elif start == "displaced":
+        mean[1] = scale
+    return dataclasses.replace(
+        sc, initial_state=dataclasses.replace(state, cov=cov, mean=mean))
+
+
 @st.composite
 def _random_scenarios(draw):
-    """A short thin, thick or estimation scenario with drawn rates."""
+    """A short thin, thick or estimation scenario with drawn rates.
+
+    A thin sample is drawn as one of four variants: isotropic ("warm":
+    uniform decay from c I, the collective path, always measured) or a
+    near miss that takes the r-wide path: decay set by intensity, or a
+    first slice squeezed or displaced.
+    """
     kind = draw(st.sampled_from(["thin", "thick", "estimation"]))
-    # one slice half the time: a one-row read block when theta is absent
-    n = draw(st.one_of(st.just(1), st.integers(2, 6)))
+    variant = draw(st.sampled_from(["warm", "intensity", "squeezed", "displaced"]))
+    # one slice half the time: a one-row read block when theta is absent;
+    # a thin sample has two or more, which the collective path needs
+    n = draw(st.integers(2, 6) if kind == "thin"
+             else st.one_of(st.just(1), st.integers(2, 6)))
     # both sides of a block end, and runs of more than one block
     n_steps = draw(st.one_of(st.integers(1, 5),
                              st.integers(KALMAN_BLOCK - 2, 2 * KALMAN_BLOCK + 2)))
@@ -701,17 +783,21 @@ def _random_scenarios(draw):
         st.one_of(st.just(0.0), st.floats(1.0, 5e6)), min_size=n, max_size=n)))
     epsilons = np.array(draw(st.lists(
         st.one_of(st.just(0.0), st.floats(1e-4, 0.05)), min_size=n, max_size=n)))
-    measure = draw(st.booleans())
+    # unmeasured, an isotropic thin sample runs like any other
+    measure = (kind, variant) == ("thin", "warm") or draw(st.booleans())
     if kind == "thin":
-        rates = CouplingRates(float(np.sum(kappas_sq)) / n, float(etas[0]),
+        # eta tau e^(eta t) stays below one, as the dense operators need;
+        # an intensity-set decay differs slice by slice only if eta > 0
+        eta = draw(st.floats(1.0, 1e5) if variant == "intensity"
+                   else st.one_of(st.just(0.0), st.floats(1.0, 1e5)))
+        rates = CouplingRates(min(float(np.sum(kappas_sq)), 1e7), eta,
                               float(epsilons[0]))
-        spread = SpreadSpec(kappa0_sq=min(float(np.sum(kappas_sq)), 1e7),
-                            delta=draw(st.floats(0.0, 0.9)), mode="random")
-        sc = build_thin_inhomogeneous(
-            spread, n, rates, TAU_PROP, n_steps * TAU_PROP, sample_every=n_steps,
-            eta_mode=draw(st.sampled_from(["uniform", "intensity"])),
+        sc = _thin_case(
+            n, rates, "intensity" if variant == "intensity" else "uniform", variant,
+            TAU_PROP, n_steps, n_steps, delta=draw(st.floats(0.05, 0.9)),
             rng=np.random.default_rng(draw(st.integers(0, 1000))),
-        )
+            scale=draw(st.floats(1.0, 2.0) if variant == "warm"
+                       else st.floats(0.5, 2.0).filter(lambda v: v != 1.0)))
     elif kind == "thick":
         slices = SliceConfig(n, kappas_sq, etas, epsilons)
         sc = build_thick(slices, TAU_PROP, n_steps * TAU_PROP, sample_every=n_steps)
