@@ -539,19 +539,18 @@ class TestRunnerDensePathEquivalence:
         r-wide path hands them the whole read block.
         """
         tau = 1e-8
-        sc = _thin_case(5, DECAYING, "intensity" if kind == "thin_intensity"
-                        else "uniform", start, tau)
         if kind.startswith("thick"):
             etas = np.zeros(4) if kind == "thick_noiseless" else np.full(4, 3e4)
             sc = build_thick(SliceConfig(4, np.linspace(2e5, 6e5, 4), etas,
                                          np.full(4, 0.03)), tau, 100 * tau,
                              sample_every=50)
-        elif kind == "estimation":
-            est = EstimationParams(t1=40 * tau, t2=43 * tau, alpha=1.5,
-                                   var_theta0=0.5, theta_true=0.2)
-            sc = build_estimation(dataclasses.replace(
-                sc, phases=(dataclasses.replace(sc.phases[0], duration=103 * tau),)),
-                est)
+        else:
+            sc = _thin_case(5, DECAYING, "intensity" if kind == "thin_intensity"
+                            else "uniform", start, tau,
+                            n_steps=103 if kind == "estimation" else 100)
+        if kind == "estimation":
+            sc = build_estimation(sc, EstimationParams(
+                t1=40 * tau, t2=43 * tau, alpha=1.5, var_theta0=0.5, theta_true=0.2))
         widths = []
         chunk = scenarios._kalman_chunk
 
