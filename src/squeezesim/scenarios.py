@@ -241,29 +241,24 @@ LOSS_SCALE_LOG = 230.0
 class BlockMap:
     """The part of a segment map acting on one block of the atomic rows.
 
-    ``rows`` slices the block out of the atomic layout.  ``loss``, ``noise0``
-    and ``growth`` are its diagonals; ``coupling0`` is the read-out h on the
-    read block and the back-action w on the unread block, and it shrinks by
-    ``decay`` per step.  Diagonals that would leave the state unchanged are
-    None.  ``logs`` holds np.log of loss, growth and decay, None where they
-    are.
+    ``loss``, ``noise0`` and ``growth`` are its diagonals; ``coupling0`` is
+    the read-out h on the read block and the back-action w on the unread
+    block, and it shrinks by ``decay`` per step.  A diagonal that would
+    leave the state unchanged is stored as None.  ``logs`` holds np.log of
+    loss, growth and decay, None where they are.
     """
 
-    rows: slice
     loss: np.ndarray | None
     noise0: np.ndarray | None
     growth: np.ndarray | None
     coupling0: np.ndarray
     decay: np.ndarray | None
 
-    @classmethod
-    def take(cls, rows, loss, noise, growth, coupling, decay) -> "BlockMap":
-        def part(v, neutral):
-            sub = v[rows]
-            return None if np.all(sub == neutral) else sub
-
-        return cls(rows, part(loss, 1.0), part(noise, 0.0), part(growth, 1.0),
-                   coupling[rows], part(decay, 1.0))
+    def __post_init__(self):
+        for name, neutral in zip(("loss", "noise0", "growth", "decay"), (1, 0, 1, 1)):
+            v = getattr(self, name)
+            if v is not None and np.all(v == neutral):
+                object.__setattr__(self, name, None)
 
     @cached_property
     def logs(self) -> tuple:
@@ -307,12 +302,13 @@ class BeamSegment:
     rows) to the unread block (the x rows).  It is stored split that way:
     ``read`` and ``unread`` are the two BlockMaps and ``spread`` is S on the
     unread block.  At step k of the phase w and h carry decay**k and q
-    carries growth**k; S and ``shot`` are fixed.  Taken from ``read`` when
-    first asked for, ``chunk_steps`` caps the measured steps the runner
-    takes at once and ``ramps`` holds the read block's rows for such a
-    chunk in loss-scaled coordinates, k = 0 .. chunk_steps: (decay
-    loss)**k for the read-out, growth**k / loss**(2 (k + 1)) for the noise
-    and loss**k.
+    carries growth**k; S and ``shot`` are fixed, as is ``kappas0``, the
+    slice couplings at step 0, which kappas_at shrinks by the decay.  Taken
+    from ``read`` when first asked for, ``chunk_steps`` caps the measured
+    steps the runner takes at once and ``ramps`` holds the read block's
+    rows for such a chunk in loss-scaled coordinates, k = 0 .. chunk_steps:
+    (decay loss)**k for the read-out, growth**k / loss**(2 (k + 1)) for the
+    noise and loss**k.
     """
 
     read: BlockMap
@@ -320,7 +316,6 @@ class BeamSegment:
     spread: np.ndarray | None
     shot: float
     kappas0: np.ndarray
-    slice_decay: np.ndarray
 
     @classmethod
     def compose(cls, groups, m: int, tau: float, t_start: float = 0.0):
@@ -333,14 +328,13 @@ class BeamSegment:
         group damps the light by sqrt(1 - epsilon) and adds epsilon /
         transmission of noise to it.  The groups take the slices in order,
         so their sizes must add up to the slice count, and eta tau must stay
-        below one.
+        below one.  Both blocks take the per-slice loss, noise, growth and
+        decay as rows, the read block after theta's untouched row (m odd).
         """
-        read, unread = _block_rows(m)
-        ax = np.arange(m % 2, m, 2)
         sizes = [len(g.kappas_sq) for g in groups]
-        if sum(sizes) != len(ax):
+        if sum(sizes) != m // 2:
             raise InvalidInputError(
-                f"the groups couple {sum(sizes)} slices, the state has {len(ax)}"
+                f"the groups couple {sum(sizes)} slices, the state has {m // 2}"
             )
         owner = np.repeat(np.arange(len(groups)), sizes)
         kappas_sq, etas = (np.concatenate([getattr(g, name) for g in groups])
@@ -369,30 +363,22 @@ class BeamSegment:
             read_k[:end] *= light
             shot = light * light * shot + g.epsilon / g.transmission
             trans_p *= light
-        slice_decay = np.exp(-eta_tau / 2.0)
-        loss = np.ones(m)
-        noise = np.zeros(m)
-        growth = np.ones(m)
-        back = np.zeros(m)
-        readout = np.zeros(m)
-        decay = np.ones(m)
-        level = np.ones(m)
-        loss[ax] = loss[ax + 1] = np.sqrt(1.0 - eta_tau)
-        noise[ax] = noise[ax + 1] = 2.0 * eta_tau * np.exp(etas * t_start)
-        growth[ax] = growth[ax + 1] = np.exp(eta_tau)
-        back[ax] = loss[ax] * k0 * reach[owner]
-        level[ax] = level_g[owner]
-        decay[ax] = decay[ax + 1] = slice_decay
-        readout[ax + 1] = read_k
-        read_map = BlockMap.take(read, loss, noise, growth, readout, decay)
-        level = level[unread]
+        loss = np.sqrt(1.0 - eta_tau)
+        noise = 2.0 * eta_tau * np.exp(etas * t_start)
+        growth = np.exp(eta_tau)
+        decay = np.exp(-eta_tau / 2.0)
+        unread = BlockMap(loss, noise, growth, loss * k0 * reach[owner], decay)
+        read = (loss, noise, growth, read_k, decay)
+        if m % 2:  # theta heads the read block, unread and left unchanged
+            read = [np.concatenate(([v0], v))
+                    for v0, v in zip((1.0, 0.0, 1.0, 0.0, 1.0), read)]
+        level = level_g[owner]
         return cls(
-            read=read_map,
-            unread=BlockMap.take(unread, loss, noise, growth, back, decay),
+            read=BlockMap(*read),
+            unread=unread,
             spread=None if np.all(level == 1.0) else np.minimum.outer(level, level),
             shot=shot,
             kappas0=k0,
-            slice_decay=slice_decay,
         )
 
     @cached_property
@@ -435,7 +421,8 @@ class BeamSegment:
 
     def kappas_at(self, k: int) -> np.ndarray:
         """Per-slice couplings in effect at step index k of the phase."""
-        return self.kappas0 * self.slice_decay**k
+        decay = self.unread.decay
+        return self.kappas0 if decay is None else self.kappas0 * decay**k
 
 
 #: Relative tolerance within which a phase duration must be a whole number
@@ -556,9 +543,9 @@ class Scenario:
             raise InvalidInputError(
                 f"the initial theta variance must be positive, got {cov[0, 0] / 2.0}"
             )
-        x = np.arange(m)[unread]
-        xx = cov[x, x]
-        det = xx * cov[x + 1, x + 1]
+        cov_r, cov_u = cov[read, read], cov[unread, unread]
+        xx = cov_u.diagonal()
+        det = xx * cov_r.diagonal()[int(state.has_theta):]
         bad = (xx <= 0.0) | (det < 1.0 - 1e-12 * np.abs(det))
         if bad.any():
             i = int(np.argmax(bad))
@@ -577,7 +564,6 @@ class Scenario:
                     f"a rotation needs one alpha per slice ({state.n_pairs}), "
                     f"got {phase.alphas.size}"
                 )
-        cov_r, cov_u = cov[read, read], cov[unread, unread]
         cov_r, cov_u = (cov_r + cov_r.T) / 2.0, (cov_u + cov_u.T) / 2.0
         if len(cov_r) > 1:  # one pair without theta: the pair check is all of it
             _check_uncertainty(cov_r, cov_u)
@@ -658,13 +644,6 @@ def _slice_rates(spread: SpreadSpec, n: int, rates: CouplingRates, tau: float,
     return kappas_sq, np.full(n, rates.eta)
 
 
-def _thin_groups(
-    kappas_sq: np.ndarray, etas: np.ndarray, epsilon: float
-) -> tuple[ProbeGroup, ...]:
-    """Single group: every slice couples to the beam segment simultaneously."""
-    return (ProbeGroup(kappas_sq, etas, epsilon),)
-
-
 def _thick_groups(slices: SliceConfig) -> tuple[ProbeGroup, ...]:
     """One group per slice, in beam order, with entering-beam attenuation.
 
@@ -697,10 +676,8 @@ def build_homogeneous(
     _check_validity(rates.kappa_sq, tau)
     _check_thin_epsilon(rates.epsilon)
     state = vacuum_state(1)
-    groups = _thin_groups(
-        np.array([rates.kappa_sq]), np.array([rates.eta]), rates.epsilon
-    )
-    phase = ProbePhase(duration=t_end, tau=tau, groups=groups, measure=measure)
+    group = ProbeGroup(np.array([rates.kappa_sq]), np.array([rates.eta]), rates.epsilon)
+    phase = ProbePhase(duration=t_end, tau=tau, groups=(group,), measure=measure)
     return Scenario(
         initial_state=state,
         phases=(phase,),
@@ -740,8 +717,8 @@ def build_thin_inhomogeneous(
     """
     kappas_sq, etas = _slice_rates(spread, n, rates, tau, eta_mode, rng)
     state = vacuum_state(n)
-    groups = _thin_groups(kappas_sq, etas, rates.epsilon)
-    phase = ProbePhase(duration=t_end, tau=tau, groups=groups)
+    group = ProbeGroup(kappas_sq, etas, rates.epsilon)  # every slice at once
+    phase = ProbePhase(duration=t_end, tau=tau, groups=(group,))
     return Scenario(
         initial_state=state,
         phases=(phase,),
@@ -1169,9 +1146,10 @@ def run(
     drawn measurement deviations.  Every detection deviation is
     chi = sqrt(bxx) * z, with bxx the covariance entry of the detected
     quadrature and z drawn as Normal(0, 1/2) from a PCG64 stream seeded
-    with ``seed``.  The trajectory records (t, means) at each sample point,
-    over the initial state's variables (the atomic block with theta when
-    present), and the covariances too with ``record_cov``.
+    with ``seed``, the z of all measured steps of the run in one draw.  The
+    trajectory records (t, means) at each sample point, over the initial
+    state's variables (the atomic block with theta when present), and the
+    covariances too with ``record_cov``.
 
     The atomic block is kept as two blocks that no step couples: the read
     block (theta and the p rows) takes the per-step Kalman updates, in
@@ -1201,9 +1179,11 @@ def run(
     times: list[float] = []
     rows: list[tuple] = []
     traj = TrajectoryRecord(seed=seed)
-    m_times: list[np.ndarray] = []
-    m_chis: list[np.ndarray] = []
-    m_outs: list[np.ndarray] = []
+    chis = traj.chis = rng.normal(0.0, CHI_STD, sum(
+        p.n_steps for p in scenario.phases if isinstance(p, ProbePhase) and p.measure))
+    pre = np.empty(len(chis))
+    traj.measurement_times = np.empty(len(chis))
+    done = 0  # measured steps of the phases before
     se = scenario.sample_every
 
     def sample(t, kappas):
@@ -1239,8 +1219,10 @@ def run(
             continue
         measure = phase.measure
         if measure:
-            chis = rng.normal(0.0, CHI_STD, n_steps)
-            pre = np.empty(n_steps)
+            steps = slice(done, done + n_steps)
+            z, z_pre = chis[steps], pre[steps]
+            traj.measurement_times[steps] = t + phase.tau * np.arange(1, n_steps + 1)
+            done += n_steps
         blk, blk_mean, chunk_seg = cov_r, mean_r, seg
         split = measure and seg.collective and not mean_r.any() and np.array_equal(
             cov_r, cov_r[0, 0] * np.eye(len(cov_r)))
@@ -1255,7 +1237,7 @@ def run(
             if measure:
                 for s in range(j, j + n, cap):
                     e = min(s + cap, j + n)
-                    _kalman_chunk(blk, blk_mean, chunk_seg, s, chis[s:e], pre[s:e],
+                    _kalman_chunk(blk, blk_mean, chunk_seg, s, z[s:e], z_pre[s:e],
                                   k + s - j, t + s * phase.tau, phase.tau)
                 if split:  # rebuilt at sample points and the phase end
                     _advance(across, np.zeros(1), chunk_seg.read, n, j)
@@ -1269,15 +1251,8 @@ def run(
             k += n
             if k % se == 0:
                 sample(t + j * phase.tau, seg.kappas_at(j))
-        if measure:
-            m_times.append(t + phase.tau * np.arange(1, n_steps + 1))
-            m_chis.append(chis)
-            m_outs.append(pre + chis)
         t += n_steps * phase.tau
-    if m_times:
-        traj.measurement_times = np.concatenate(m_times)
-        traj.chis = np.concatenate(m_chis)
-        traj.outcomes = np.concatenate(m_outs)
+    traj.outcomes = pre + chis
     cols = {name: np.array([r[i] for r in rows])
             for i, name in enumerate(sampler.names)}
     return TimeSeries(times=np.array(times), columns=cols), traj
