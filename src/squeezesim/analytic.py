@@ -36,6 +36,8 @@ class SqueezeCurveParams:
     def __post_init__(self):
         if self.kappa_sq < 0 or self.eta < 0:
             raise InvalidInputError("kappa_sq and eta must be nonnegative")
+        if self.kappa_sq == 0 and self.eta > 0:
+            raise InvalidInputError("kappa_sq must be positive when eta is")
         if not 0.0 <= self.epsilon < 1.0:
             raise InvalidInputError("epsilon must lie in [0, 1)")
         if self.var0 <= 0:

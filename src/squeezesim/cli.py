@@ -109,7 +109,6 @@ _SCHEMA = {
         "linewidth": float,
         "wavelength": float,
         "dipole": float,
-        "tau": float,
         "omega": float,
         "form": str,
     },
@@ -353,8 +352,6 @@ def build_scenario(cfg: RunConfig) -> scenarios.Scenario:
 def _analytic_var_p(cfg: RunConfig, times: np.ndarray) -> np.ndarray:
     """Closed-form squeezing curve matching the configured rates."""
     r = cfg.rates
-    if r.eta == 0.0 and r.epsilon == 0.0:
-        return analytic.var_p_noiseless(times, r.kappa_sq)
     params = SqueezeCurveParams(kappa_sq=r.kappa_sq, eta=r.eta, epsilon=r.epsilon)
     return analytic.var_p_noisy(times, params)
 

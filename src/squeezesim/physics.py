@@ -42,7 +42,6 @@ class PhysicalParams:
     wavelength   probe wavelength, m (sets the resonant cross-section
                  sigma = wavelength^2 / 2 pi)
     dipole       transition dipole moment, C m
-    tau          beam-segment duration used for coarse graining, s
     omega        optical angular frequency, rad/s; derived from the
                  wavelength when omitted
     """
@@ -54,16 +53,15 @@ class PhysicalParams:
     linewidth: float
     wavelength: float
     dipole: float
-    tau: float = 1e-8
     omega: float = field(default=0.0)
 
     def __post_init__(self):
         require_finite(**{name: getattr(self, name) for name in (
             "n_atoms", "photon_flux", "area", "detuning", "linewidth",
-            "wavelength", "dipole", "tau", "omega")})
+            "wavelength", "dipole", "omega")})
         if self.n_atoms < 0 or self.photon_flux < 0:
             raise InvalidInputError("n_atoms and photon_flux must be nonnegative")
-        for name in ("area", "detuning", "linewidth", "wavelength", "dipole", "tau"):
+        for name in ("area", "detuning", "linewidth", "wavelength", "dipole"):
             if getattr(self, name) <= 0:
                 raise InvalidInputError(f"{name} must be positive")
         if self.omega == 0.0:

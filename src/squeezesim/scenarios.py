@@ -612,6 +612,8 @@ def _check_uncertainty(cov_r: np.ndarray, cov_u: np.ndarray):
 
 
 def _check_validity(kappa_sq_max: float, tau: float):
+    if not kappa_sq_max > 0.0:
+        raise InvalidInputError("kappa_sq must be positive on at least one slice")
     if kappa_sq_max * tau > KAPPA_TAU_SQ_MAX + 1e-15:
         raise ConfigError(
             f"kappa^2 * tau = {kappa_sq_max * tau:.4g} exceeds the "

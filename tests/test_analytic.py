@@ -260,6 +260,11 @@ class TestTypes:
         with pytest.raises(InvalidInputError):
             EstimationParams(t1=2.0, t2=1.0)
 
+    def test_squeeze_params_zero_coupling_with_decay_refused(self):
+        """beta, the curve and its minimum would divide by kappa_sq_eff = 0."""
+        with pytest.raises(InvalidInputError, match="kappa_sq must be positive"):
+            SqueezeCurveParams(kappa_sq=0.0, eta=1.0, epsilon=0.0)
+
     def test_squeeze_params_beta(self):
         p = FIG_PARAMS
         r = p.eta / p.kappa_sq_eff

@@ -79,6 +79,15 @@ class TestParseConfig:
         }))
         assert cfg.rates.kappa_sq == pytest.approx(1.83e6, rel=0.01)
 
+    def test_physical_tau_refused(self):
+        """The step is the top-level tau; a physical one would go unread."""
+        with pytest.raises(ParseError, match=r"unknown key 'physical\.tau'"):
+            parse_config(json.dumps({"scenario": "homogeneous", "physical": {
+                "n_atoms": 2e12, "photon_flux": 5e14, "area": 2e-6,
+                "detuning": 6.28e10, "linewidth": 3.1e7,
+                "wavelength": 852e-9, "dipole": 2.61e-29, "tau": 5e-8,
+            }}))
+
     def test_estimation_requires_times(self):
         with pytest.raises(ParseError, match="estimation.t1"):
             parse_config(cfg_text(scenario="estimation"))
@@ -494,14 +503,18 @@ class TestMain:
         {"preset": "fig1", "sample_every": 0},
         {"preset": "fig2", "n_slices": 0},
         {"preset": "fig5", "estimation": {"t1": 4e-5, "t2": 3e-5}},
-    ], ids=["negative_tau", "zero_sample_every", "zero_slices", "t1_after_t2"])
+        {"preset": "fig1", "rates": {"kappa_sq": 0.0, "eta": 1.0}},
+        {"preset": "fig3", "rates": {"kappa_sq": 0.0}},
+    ], ids=["negative_tau", "zero_sample_every", "zero_slices", "t1_after_t2",
+            "zero_coupling", "zero_coupling_thick"])
     def test_refused_run_leaves_no_output_dir(self, tmp_path, capsys, over):
         out = tmp_path / "out"
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({**over, "t_end": 1e-4,
                                         "output_dir": str(out)}))
         assert main(["run", "--config", str(cfg_path)]) == 1
-        assert "error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
     def test_sweep_failure_removes_earlier_files(self, tmp_path, capsys):

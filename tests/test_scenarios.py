@@ -108,6 +108,15 @@ class TestValidityGuards:
         with pytest.raises(ConfigError):
             build_homogeneous(thick_rates, tau=1e-8, t_end=1e-4)
 
+    @pytest.mark.parametrize("build", [
+        lambda r: build_homogeneous(r, tau=1e-8, t_end=1e-5),
+        lambda r: build_thick(SliceConfig.split(4, r), tau=1e-8, t_end=1e-5),
+    ], ids=["homogeneous", "thick"])
+    def test_zero_coupling_refused(self, build):
+        """No slice couples: the closed form divides by zero, var_P_eff is NaN."""
+        with pytest.raises(InvalidInputError, match="kappa_sq must be positive"):
+            build(CouplingRates(kappa_sq=0.0, eta=1.0, epsilon=0.0))
+
 
 class TestHomogeneous:
     def test_noiseless_matches_closed_form(self):
@@ -370,6 +379,27 @@ class TestEstimation:
             ts.columns["mean_theta"])
         assert [cov[0, 0] / 2.0 for cov in traj.cov_samples] == list(
             ts.columns["var_theta"])
+
+    def test_deviations_are_one_draw_over_both_probe_phases(self):
+        base = build_thin_inhomogeneous(SpreadSpec(1.83e6, 0.3), 3, RATES, tau=1e-8,
+                                        t_end=2e-6, eta_mode="intensity")
+        sc = build_estimation(base, EstimationParams(t1=5e-7, t2=8e-7, alpha=1.0))
+        squeeze, rotation, probe = sc.phases
+        n = squeeze.n_steps + probe.n_steps
+        scales = []
+        for seed in (11, 12):
+            _, traj = run(sc, seed=seed)
+            z = np.random.default_rng(seed).normal(0.0, CHI_STD, n)
+            scales.append(traj.chis / z)
+        # chi = sqrt(bxx) z with bxx >= shot = 1 and seed independent, so the
+        # z are the seed's one draw of n
+        np.testing.assert_allclose(scales[0], scales[1], rtol=1e-14)
+        assert np.all(scales[0] > 1.0)
+        times = traj.measurement_times
+        assert len(times) == len(traj.outcomes) == n
+        assert np.all(np.diff(times) > 0.0)
+        gap = times[squeeze.n_steps] - times[squeeze.n_steps - 1]
+        assert gap == pytest.approx(rotation.duration + probe.tau, rel=1e-9)
 
     def test_thick_base_accepted(self):
         slices = SliceConfig.split(3, RATES)
@@ -1064,6 +1094,25 @@ class TestScenarioShape:
     def test_probe_phase_step_count(self):
         phase = ProbePhase(duration=1e-5, tau=1e-8, groups=())
         assert phase.n_steps == 1000
+
+    def test_theta_row_of_the_read_map_is_neutral(self):
+        """theta heads the read block: read-out 0, loss 1, noise 0, growth 1."""
+        seg = BeamSegment.compose((ProbeGroup([1e6, 2e6], [1e5, 2e5]),), 5, 1e-8)
+        read, unread = seg.read, seg.unread
+        assert len(read.coupling0) == 3 and len(unread.coupling0) == 2
+        assert read.coupling0[0] == 0.0 and np.all(read.coupling0[1:] > 0.0)
+        for name, neutral in (("loss", 1.0), ("noise0", 0.0), ("growth", 1.0),
+                              ("decay", 1.0)):
+            row, rest = getattr(read, name)[0], getattr(read, name)[1:]
+            assert row == neutral
+            assert np.array_equal(rest, getattr(unread, name))
+
+    @pytest.mark.parametrize("kappas_sq", [[0.0, 1e6], [0.0, 0.0]])
+    def test_zero_couplings_stay_an_array(self, kappas_sq):
+        seg = BeamSegment.compose((ProbeGroup(kappas_sq, [0.0, 0.0]),), 4, 1e-8)
+        for blk in (seg.read, seg.unread):
+            assert isinstance(blk.coupling0, np.ndarray) and blk.coupling0[0] == 0.0
+            assert blk.loss is blk.noise0 is blk.growth is blk.decay is None
 
 
 class TestCholeskyBlock:
