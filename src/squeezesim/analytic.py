@@ -34,10 +34,10 @@ class SqueezeCurveParams:
     var0: float = 0.5
 
     def __post_init__(self):
-        if self.kappa_sq < 0 or self.eta < 0:
-            raise InvalidInputError("kappa_sq and eta must be nonnegative")
-        if self.kappa_sq == 0 and self.eta > 0:
-            raise InvalidInputError("kappa_sq must be positive when eta is")
+        require_finite(kappa_sq=self.kappa_sq, eta=self.eta, epsilon=self.epsilon,
+                       var0=self.var0)
+        if not (self.kappa_sq > 0 and self.eta >= 0):
+            raise InvalidInputError("kappa_sq must be positive and eta nonnegative")
         if not 0.0 <= self.epsilon < 1.0:
             raise InvalidInputError("epsilon must lie in [0, 1)")
         if self.var0 <= 0:

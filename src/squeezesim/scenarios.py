@@ -33,9 +33,10 @@ limit of the sliced (thick) run therefore take the same path and execute
 identical arithmetic.  A read block of p rows alone whose loss, noise,
 growth and decay are one value on every row (a thin sample with uniform
 decay, a noiseless stack) and that starts as c I with zero mean runs as
-its read-out mode, one row on the scan, plus one unread variance across
-it.  The tests check all of it against dense operators built from the
-same rates, which carry the light pair explicitly (tests/oracles.py).
+its read-out mode, one row on the scan, plus one variance across it, as
+does its x block without a spread; neither needs an eigen-solve.  The
+tests check all of it against dense operators built from the same rates,
+which carry the light pair explicitly (tests/oracles.py).
 
 Per-step time dependence uses exponential factors frozen at the step start:
 couplings shrink as exp(-eta t / 2) while the mean spin decays, the atomic
@@ -401,23 +402,30 @@ class BeamSegment:
 
     @cached_property
     def collective(self) -> tuple | None:
-        """(h^, the segment of the mode h^ = h / |h| alone), or None.
+        """(h^, w^ or None, the segment of the modes alone), or None.
 
         None unless the read block is two or more p rows (no theta) whose
         loss, noise, growth and decay are each None or one value on every
         row: that map commutes with any rotation, and the read-out touches
-        only h^, so the mode runs alone as one row of read-out |h| (run).
+        only h^ = h / |h|, so the mode runs alone as one row of read-out |h|
+        (run).  The x rows share those diagonals, so without a spread the
+        back-action touches only w^ = w / |w|, and the mode segment's unread
+        block is two rows, w^ (back-action |w|) and one direction across it.
         """
-        read = self.read
-        h = read.coupling0
-        norm = math.sqrt(float(h @ h))
-        diags = {f: getattr(read, f) for f in ("loss", "noise0", "growth", "decay")}
-        if not (1 < len(h) == len(self.unread.coupling0) and norm > 0.0 and all(
+        h, w = self.read.coupling0, self.unread.coupling0
+        norm, norm_w = (math.sqrt(float(u @ u)) for u in (h, w))
+        diags = {f: getattr(self.read, f) for f in ("loss", "noise0", "growth", "decay")}
+        if not (1 < len(h) == len(w) and norm > 0.0 and all(
                 v is None or np.all(v == v[0]) for v in diags.values())):
             return None
-        mode = replace(read, coupling0=np.array([norm]),
-                       **{f: v[:1] for f, v in diags.items() if v is not None})
-        return h / norm, replace(self, read=mode)
+
+        def rows(blk, *coupling):  # its first len(coupling) rows, that coupling
+            cut = {f: v[: len(coupling)] for f, v in diags.items() if v is not None}
+            return replace(blk, coupling0=np.array(coupling), **cut)
+        mode = replace(self, read=rows(self.read, norm))
+        if self.spread is not None:
+            return h / norm, None, mode
+        return h / norm, w / norm_w, replace(mode, unread=rows(self.unread, norm_w, 0.0))
 
     def kappas_at(self, k: int) -> np.ndarray:
         """Per-slice couplings in effect at step index k of the phase."""
@@ -862,7 +870,8 @@ class _Sampler:
     rows).  They never correlate, so the smallest eigenvalue of the atomic
     block is the smaller of theirs, a tie going to the x block (whose
     eigenvectors have no p part), and a collective variable's variance is
-    the sum of its x part and its p part.
+    the sum of its x part and its p part.  ``least`` gives the smallest
+    eigenvalue of a block run as modes; only the others are eigen-solved.
     """
 
     NAMES = ("var_p", "min_eig_var", "min_eig_overlap", "var_P_eff", "var_P",
@@ -896,14 +905,18 @@ class _Sampler:
         self.need_eig = bool({"min_eig_var", "min_eig_overlap"} & set(self.names))
         self.need_vectors = "min_eig_overlap" in self.names
 
-    def row(self, cov_r, mean_r, cov_u, kappa_weights) -> tuple:
+    def row(self, cov_r, mean_r, cov_u, kappa_weights, least) -> tuple:
         p = cov_r[self.p0 :, self.p0 :]
         eig_val = eig_p = None
         if self.need_eig:
-            w_x, _ = sym_eig_all(cov_u, vectors=False)
-            w_p, v_p = sym_eig_all(p, vectors=self.need_vectors)
-            eig_val = float(min(w_x[0], w_p[0])) / 2.0
-            if self.need_vectors and w_p[0] < w_x[0]:
+            least_x, least_p = least
+            if least_x is None:
+                least_x = sym_eig_all(cov_u, vectors=False)[0][0]
+            if least_p is None or self.need_vectors:
+                w_p, v_p = sym_eig_all(p, vectors=self.need_vectors)
+                least_p = w_p[0]
+            eig_val = float(min(least_x, least_p)) / 2.0
+            if self.need_vectors and least_p < least_x:
                 eig_p = v_p[:, 0]
         nrm = float(np.linalg.norm(kappa_weights))
         weights = kappa_weights / nrm if nrm > 0 else None
@@ -982,6 +995,12 @@ def _advance(cov, mean, blk: BlockMap, n: int, k0: int, back=False, spread=None)
         gram *= _geometric(None if log_d is None else np.add.outer(log_d, log_d),
                            None if log_b is None else np.add.outer(log_b, log_b), n)
         cov += gram
+
+
+def _mode_block(out, unit, v, s):
+    """out = s I + (v - s) u u^T, exactly symmetric: v along the unit u, s across."""
+    np.multiply(np.outer(unit, unit), v - s, out=out)
+    out.ravel()[:: len(out) + 1] += s
 
 
 def _theta_shear(cov, mean, alphas):
@@ -1168,7 +1187,10 @@ def run(
     phase whose segment splits (BeamSegment.collective) and whose read
     block starts as c I with zero mean runs as the one-row mode (v, mu) of
     the unit read-out h^ plus one variance s across it, rebuilt as s I +
-    (v - s) h^ h^T and mu h^ at sample points and the phase end.  The
+    (v - s) h^ h^T and mu h^ at sample points and the phase end; without a
+    spread, an x block that starts as c' I with zero mean runs likewise as
+    its back-action mode along w^ plus one variance across it.  The sampler
+    is given min(s, v) of each such block, in place of an eigen-solve.  The
     initial state must be physical (gamma + i Omega >= 0) and must not
     correlate the two blocks, and a rotation needs theta and one lever arm
     per slice (see Scenario.blocks).
@@ -1189,8 +1211,10 @@ def run(
     se = scenario.sample_every
 
     def sample(t, kappas):
-        try:
-            rows.append(sampler.row(cov_r, mean_r, cov_u, kappas))
+        try:  # a block run as modes has the smaller one as its least eigenvalue
+            rows.append(sampler.row(cov_r, mean_r, cov_u, kappas, (
+                None if x is None else min(x[0, 0], x[1, 1]),
+                min(blk[0, 0], across[0, 0]) if split else None)))
         except np.linalg.LinAlgError as exc:
             raise DegenerateCovarianceError(
                 f"the eigen-solve of the sample at t = {t:.6e} s failed: {exc}"
@@ -1208,10 +1232,20 @@ def run(
 
     k = 0
     t = 0.0
-    if scenario.total_steps > 0:
-        sample(0.0, next(s.kappas0 for s in scenario.segments if s is not None))
-    for phase, seg in zip(scenario.phases, scenario.segments):
-        if isinstance(phase, RotationPhase):
+    for i, (phase, seg) in enumerate(zip(scenario.phases, scenario.segments)):
+        blk, blk_mean, chunk_seg, x = cov_r, mean_r, seg, None
+        split = (seg is not None and phase.measure and seg.collective and not mean_r.any()
+                 and np.array_equal(cov_r, cov_r[0, 0] * np.eye(len(cov_r))))
+        if split:
+            h_hat, w_hat, chunk_seg = seg.collective
+            blk, blk_mean = cov_r[:1, :1].copy(), np.zeros(1)
+            across = blk.copy()  # the variance of every direction across h_hat
+            if w_hat is not None and not mean_u.any() and np.array_equal(
+                    cov_u, cov_u[0, 0] * np.eye(len(cov_u))):
+                x = cov_u[0, 0] * np.eye(2)  # along w_hat and across it
+        if i == 0 and scenario.total_steps > 0:
+            sample(0.0, next(s.kappas0 for s in scenario.segments if s is not None))
+        if seg is None:
             _theta_shear(cov_r, mean_r, phase.alphas)
             t += phase.duration
             continue
@@ -1225,13 +1259,6 @@ def run(
             z, z_pre = chis[steps], pre[steps]
             traj.measurement_times[steps] = t + phase.tau * np.arange(1, n_steps + 1)
             done += n_steps
-        blk, blk_mean, chunk_seg = cov_r, mean_r, seg
-        split = measure and seg.collective and not mean_r.any() and np.array_equal(
-            cov_r, cov_r[0, 0] * np.eye(len(cov_r)))
-        if split:
-            hat, chunk_seg = seg.collective
-            blk, blk_mean = cov_r[:1, :1].copy(), np.zeros(1)
-            across = blk.copy()  # the variance of every direction across hat
         cap = chunk_seg.chunk_steps
         j = 0
         while j < n_steps:
@@ -1243,12 +1270,15 @@ def run(
                                   k + s - j, t + s * phase.tau, phase.tau)
                 if split:  # rebuilt at sample points and the phase end
                     _advance(across, np.zeros(1), chunk_seg.read, n, j)
-                    np.multiply(np.outer(hat, hat), blk[0, 0] - across[0, 0], out=cov_r)
-                    cov_r.ravel()[:: len(cov_r) + 1] += across[0, 0]
-                    np.multiply(hat, blk_mean[0], out=mean_r)
+                    _mode_block(cov_r, h_hat, blk[0, 0], across[0, 0])
+                    np.multiply(h_hat, blk_mean[0], out=mean_r)
             else:
                 _advance(cov_r, mean_r, seg.read, n, j)
-            _advance(cov_u, mean_u, seg.unread, n, j, back=True, spread=seg.spread)
+            if x is None:
+                _advance(cov_u, mean_u, seg.unread, n, j, back=True, spread=seg.spread)
+            else:  # the modes of the x block, which keeps a zero mean
+                _advance(x, np.zeros(2), chunk_seg.unread, n, j, back=True)
+                _mode_block(cov_u, w_hat, x[0, 0], x[1, 1])
             j += n
             k += n
             if k % se == 0:

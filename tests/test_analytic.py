@@ -265,6 +265,20 @@ class TestTypes:
         with pytest.raises(InvalidInputError, match="kappa_sq must be positive"):
             SqueezeCurveParams(kappa_sq=0.0, eta=1.0, epsilon=0.0)
 
+    @pytest.mark.parametrize("kappa_sq, eta", [(0.0, 0.0), (-1.0, 0.0)])
+    def test_squeeze_params_no_coupling_refused(self, kappa_sq, eta):
+        """Without decay beta would be 0 / 0; the curve has no coupling."""
+        with pytest.raises(InvalidInputError, match="kappa_sq must be positive"):
+            SqueezeCurveParams(kappa_sq=kappa_sq, eta=eta, epsilon=0.0)
+
+    @pytest.mark.parametrize("field", ["kappa_sq", "eta", "epsilon", "var0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_squeeze_params_non_finite_refused(self, field, value):
+        """A NaN passes every sign test and would make the curve NaN."""
+        good = dict(kappa_sq=1.0, eta=1.0, epsilon=0.0, var0=0.5)
+        with pytest.raises(InvalidInputError, match=field):
+            SqueezeCurveParams(**{**good, field: value})
+
     def test_squeeze_params_beta(self):
         p = FIG_PARAMS
         r = p.eta / p.kappa_sq_eff

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from squeezesim import scenarios
 from squeezesim.analytic import (
+    CollectiveVariable,
     EstimationParams,
     SqueezeCurveParams,
     var_p_noiseless,
@@ -211,12 +212,13 @@ class TestThinInhomogeneous:
         """300k steps of a uniform-eta sample against its scalar modes.
 
         Both blocks stay sigma I + (mode - sigma) u u^T, u the unit
-        read-out on p and back-action on x (oracles.uniform_thin_modes).
+        read-out on p and back-action on x (oracles.uniform_thin_modes), so
+        the smallest eigenvalue is the smallest of sigma and the two modes.
         """
         sc = build_thin_inhomogeneous(SpreadSpec(1.83e6, 0.3), 10, RATES,
                                       tau=1e-8, t_end=3e-3)
         seg = sc.segments[0]
-        _, traj = run(sc, seed=0, record_cov=True)
+        ts, traj = run(sc, seed=0, record_cov=True)
         ref = uniform_thin_modes(seg, 300, sc.sample_every)
         eye = np.eye(10, dtype=np.longdouble)
         units = []
@@ -229,6 +231,9 @@ class TestThinInhomogeneous:
                                     (cov[0::2, 0::2], units[1], vx)):
                 want = sigma * eye + (mode - sigma) * unit
                 assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+        least = np.array([min(modes) / 2 for modes in ref], dtype=np.longdouble)
+        got = ts.columns["min_eig_var"].astype(np.longdouble)
+        assert np.max(np.abs(got - least) / least) <= 1e-11
 
     def test_collective_mode_is_the_homogeneous_run(self):
         """With uniform decay the probed variable is one sample of sum kappa_i^2."""
@@ -559,15 +564,22 @@ class TestRunnerDensePathEquivalence:
 
     @pytest.mark.parametrize("kind, start, collective", [
         ("thin", "vacuum", True), ("thin", "warm", True),
-        ("thick_noiseless", None, True), ("thin_intensity", "vacuum", False),
-        ("thick", None, False), ("estimation", "vacuum", False),
-        ("thin", "squeezed", False), ("thin", "displaced", False)])
+        ("thin_observed", "x_squeezed", True), ("thick_noiseless", None, True),
+        ("thin_intensity", "vacuum", False), ("thick", None, False),
+        ("estimation", "vacuum", False), ("thin", "squeezed", False),
+        ("thin", "displaced", False)])
     def test_collective_dispatch(self, kind, start, collective, monkeypatch):
-        """Which read block the chunks take, and the dense path on both.
+        """Which blocks the chunks and the eigen-solves take, and the dense path.
 
         The collective path hands the chunks the one-row h^ mode; the
-        r-wide path hands them the whole read block.
+        r-wide path hands them the whole read block.  At every sample the
+        sampler eigen-solves only the blocks (x, p) that do not run as
+        modes, and p also when min_eig_overlap needs its eigenvectors.
         """
+        # the blocks eigen-solved at each sample: those not run as modes (a
+        # thick stack's x block has a spread), and p for its eigenvectors
+        solved = ({"thin": "", "thin_observed": "p", "thick_noiseless": "x"}[kind]
+                  if collective else "xp")
         tau = 1e-8
         if kind.startswith("thick"):
             etas = np.zeros(4) if kind == "thick_noiseless" else np.full(4, 3e4)
@@ -578,19 +590,50 @@ class TestRunnerDensePathEquivalence:
             sc = _thin_case(5, DECAYING, "intensity" if kind == "thin_intensity"
                             else "uniform", start, tau,
                             n_steps=103 if kind == "estimation" else 100)
-        if kind == "estimation":
+        if kind == "estimation":  # min_eig_var too, so that it eigen-solves
             sc = build_estimation(sc, EstimationParams(
                 t1=40 * tau, t2=43 * tau, alpha=1.5, var_theta0=0.5, theta_true=0.2))
-        widths = []
-        chunk = scenarios._kalman_chunk
+            sc = dataclasses.replace(sc, observables=sc.observables + ("min_eig_var",))
+        if kind == "thin_observed":
+            # x squeezed: the x block holds the least eigenvalue until the
+            # last sample, the squeezed p mode there
+            state = dataclasses.replace(sc.initial_state,
+                                        cov=np.diag(np.tile([0.5, 2.0], 5)))
+            coeff = np.linspace(1.0, 2.0, 10)  # reads both blocks
+            sc = dataclasses.replace(sc, initial_state=state, observables=(
+                "min_eig_var", "min_eig_overlap",
+                CollectiveVariable(coeff / np.linalg.norm(coeff))))
+        widths, rows, solves, x_block = [], [], [], []
+        chunk, eig, row = scenarios._kalman_chunk, scenarios.sym_eig_all, sc.sampler.row
 
-        def spy(cov, *args):
+        def spy_chunk(cov, *args):
             widths.append(len(cov))
             return chunk(cov, *args)
 
-        monkeypatch.setattr(scenarios, "_kalman_chunk", spy)
-        self._compare_samples(sc, seed=4)
+        def spy_row(cov_r, mean_r, cov_u, *args):
+            x_block[:] = [cov_u]
+            solves.append("")
+            rows.append(row(cov_r, mean_r, cov_u, *args))
+            return rows[-1]
+
+        def spy_eig(block, **kw):
+            solves[-1] += "x" if block is x_block[0] else "p"
+            return eig(block, **kw)
+
+        monkeypatch.setattr(scenarios, "_kalman_chunk", spy_chunk)
+        monkeypatch.setattr(scenarios, "sym_eig_all", spy_eig)
+        monkeypatch.setattr(sc.sampler, "row", spy_row)
+        traj = self._compare_samples(sc, seed=4)
         assert set(widths) == ({1} if collective else {len(sc.blocks[0])})
+        assert solves == [solved] * len(traj.cov_samples)
+        if kind == "thin_observed":
+            weights = sc.segments[0].kappas0 / np.linalg.norm(sc.segments[0].kappas0)
+            for (least, overlap, var_cv), cov in zip(rows, traj.cov_samples, strict=True):
+                w, v = np.linalg.eigh(cov)
+                assert least == pytest.approx(w[0] / 2.0, rel=1e-12)
+                assert overlap == pytest.approx(abs(v[1::2, 0] @ weights), abs=1e-12)
+                c = sc.observables[2].coefficients
+                assert var_cv == pytest.approx(c @ cov @ c / 2.0, rel=1e-12)
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.too_slow])
